@@ -10,12 +10,25 @@ coordinates are columns 2..n; bit b of the Gray code corresponds to
 column b+2, bit value 1 meaning sign -1.  Candidate index i visits code
 g = i XOR (i >> 1) for i = 0, 1, ...; the walk starts at the all-plus
 vector and flips column 2 most often.  The argmin reported is the first
-minimizer in this order.  For speed the walk is blocked: the low q Gray
-bits are expanded into a 2^q-row delta table and each run of 2^q
-consecutive candidates is evaluated in one vectorized pass; within a
-block the visiting order is the table order for even blocks and relies
-on the reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1) for odd
-blocks, so the global visiting order is preserved exactly.
+minimizer in this order.  ``signs_from_codes`` / ``codes_from_signs``
+convert between sign vectors and these "gray" codes, or the searches'
+"lex" codes.
+
+For speed the walk is blocked.  The low q Gray bits are expanded into a
+suffix table stored row-major as an (M, 2^q) array, one column per
+within-block candidate, in two contiguous copies: table order for even
+blocks, and column-reversed for odd blocks, which relies on the
+reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1), so the global
+visiting order is preserved exactly.  Each block adds the high-bit row
+sums to every column of its table in one preallocated (M, 2^q) buffer and
+reduces max |.| over the M rows (``max_abs_rows``), giving the 2^q
+candidates' norms in walk order.
+
+Gaussian row sums accumulate rounding along the walk, so every reported
+value and row-sum vector is recomputed by ``disc_value`` from the
+witness, and candidates whose scanned norm lies within a rounding bound
+of a decision (the running minimum, or an enumeration threshold) are
+decided on that direct product.  Integer disorders scan exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +45,8 @@ EXACT_MAX_N = 30
 ENUMERATE_MAX_N = 26
 
 _BLOCK_BITS = 12
+
+SIGN_ORDERS = ("gray", "lex")
 
 
 def as_sign_vector(sigma, n: int | None = None) -> np.ndarray:
@@ -54,6 +69,42 @@ def parse_sign_string(s: str) -> np.ndarray:
     if not s or any(ch not in "+-" for ch in s):
         raise ParameterError(f"sign string must be nonempty over '+-', got {s!r}")
     return np.array([1 if ch == "+" else -1 for ch in s], dtype=np.int8)
+
+
+def _code_bits(n: int, order: str) -> tuple[np.ndarray, int]:
+    """(bit position of each coded coordinate, index of the first coded one).
+
+    "gray": the exact solver's walk codes; sigma(1) = +1 is implied and bit
+    b holds coordinate b+2.  "lex": bit n-j holds coordinate j, so ascending
+    codes order the cube lexicographically with +1 < -1.  A set bit means -1.
+    """
+    if order == "gray":
+        return np.arange(n - 1, dtype=np.uint64), 1
+    if order == "lex":
+        return np.arange(n - 1, -1, -1, dtype=np.uint64), 0
+    raise ParameterError(f"unknown sign-code order {order!r}, expected one of {SIGN_ORDERS}")
+
+
+def signs_from_codes(codes, n: int, order: str) -> np.ndarray:
+    """uint64 codes -> (len(codes), n) int8 sign matrix in the given order."""
+    shifts, first = _code_bits(n, order)
+    codes = np.asarray(codes, dtype=np.uint64)
+    out = np.ones((codes.shape[0], n), dtype=np.int8)
+    bits = (codes[:, None] >> shifts[None, :]) & np.uint64(1)
+    out[:, first:] = 1 - 2 * bits.astype(np.int8)
+    return out
+
+
+def codes_from_signs(signs, order: str) -> np.ndarray:
+    """Inverse of ``signs_from_codes``: (count, n) signs -> uint64 codes.
+
+    In "gray" order coordinate 1 carries no bit; it is +1 for every vector
+    the exact walk visits.
+    """
+    signs = np.asarray(signs)
+    shifts, first = _code_bits(signs.shape[1], order)
+    bits = (signs[:, first:] < 0).astype(np.uint64)
+    return bits @ (np.uint64(1) << shifts)
 
 
 @dataclass(frozen=True)
@@ -83,43 +134,63 @@ def disc_value(inst: Instance, sigma) -> DiscrepancyResult:
     return DiscrepancyResult(value=value, argmin=sig, row_sums=row_sums)
 
 
-def _signs_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
-    """Halved-walk codes -> (len(codes), n) int8 sign matrix, sigma(1) = +1."""
-    out = np.ones((codes.shape[0], n), dtype=np.int8)
-    if n > 1:
-        bits = (codes[:, None] >> np.arange(n - 1, dtype=np.uint64)[None, :]) & np.uint64(1)
-        out[:, 1:] = 1 - 2 * bits.astype(np.int8)
-    return out
+def max_abs_rows(a, b, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = max over axis 0 of |a + b|, evaluated in the preallocated buf.
+
+    The cube-scan kernel: ``a`` and ``b`` broadcast to buf's shape, whose
+    leading axis holds the M rows, so the reduction is an elementwise
+    maximum of contiguous per-row slabs.
+    """
+    np.add(a, b, out=buf)
+    np.abs(buf, out=buf)
+    return np.maximum.reduce(buf, axis=0, out=out)
 
 
 class _GrayScan:
-    """Blocked halved Gray-code walk over row-sum vectors."""
+    """Blocked halved Gray-code walk yielding per-candidate norms."""
 
     def __init__(self, entries: np.ndarray):
         m, n = entries.shape
-        self.n = n
         self.entries = entries
-        self.q = min(_BLOCK_BITS, n - 1)
-        b = 1 << self.q
-        self.n_blocks = 1 << (n - 1 - self.q)
+        self.q = q = min(_BLOCK_BITS, n - 1)
+        b = 1 << q
+        self.n_blocks = 1 << (n - 1 - q)
         r = np.arange(b, dtype=np.uint64)
         gray = r ^ (r >> np.uint64(1))
-        if self.q:
-            bits = ((gray[:, None] >> np.arange(self.q, dtype=np.uint64)[None, :])
-                    & np.uint64(1)).astype(entries.dtype)
-            suffix_even = bits @ (-2 * entries[:, 1:1 + self.q]).T   # (b, M)
-            low_even = gray
-            low_odd = gray ^ np.uint64(b >> 1)
-            suffix_odd = suffix_even[::-1]   # gray(b-1-r) = gray(r) ^ (b>>1)
-        else:
-            suffix_even = suffix_odd = np.zeros((1, m), dtype=entries.dtype)
-            low_even = low_odd = gray
-        self.low = (low_even, low_odd)
-        self.suffix = (suffix_even, suffix_odd)
+        bits = (signs_from_codes(gray, q + 1, "gray")[:, 1:] < 0).astype(entries.dtype)
+        suffix = bits @ (-2 * entries[:, 1:1 + q]).T             # (b, M)
+        self.low = (gray, gray ^ np.uint64(b >> 1))
+        # gray(b-1-r) = gray(r) ^ (b>>1): odd blocks read the table reversed
+        self.tables = (np.ascontiguousarray(suffix.T),
+                       np.ascontiguousarray(suffix.T[:, ::-1]))  # (M, b) each
         self.base = entries.sum(axis=1)
+        self.slack = self._slack(entries, self.n_blocks)
+
+    @staticmethod
+    def _slack(entries: np.ndarray, steps: int) -> float:
+        """Bound on |scanned norm - disc_value norm| of any candidate.
+
+        Every partial signed row sum is at most S = max_i sum_j |M_ij| in
+        absolute value, so each rounded addition errs by at most eps*S/2:
+        at most ``steps`` along the walk, fewer than 2n in the table entry
+        and the final add, and fewer than n in the direct product.  The
+        factor 4 absorbs the second-order terms.  Integers scan exactly.
+        """
+        if entries.dtype != np.float64:
+            return 0
+        s = float(np.abs(entries).sum(axis=1).max())
+        return 4.0 * (steps + 3 * entries.shape[1]) * float(np.finfo(np.float64).eps) * s
 
     def blocks(self):
-        """Yield (parity, gray_high, candidate_row_sums of shape (2^q, M))."""
+        """Yield (parity, gray_high, norms of shape (2^q,)) per block.
+
+        norms[r] is ||M sigma||_inf of the block's r-th candidate in walk
+        order; the array is reused by the next block.
+        """
+        m = self.entries.shape[0]
+        b = 1 << self.q
+        buf = np.empty((m, b), dtype=self.entries.dtype)
+        vals = np.empty(b, dtype=self.entries.dtype)
         cur = self.base.copy()
         gray_high = 0
         for j in range(self.n_blocks):
@@ -133,53 +204,78 @@ class _GrayScan:
                     cur -= 2 * col
                     gray_high |= 1 << bit
             par = j & 1
-            yield par, gray_high, cur[None, :] + self.suffix[par]
+            yield par, gray_high, max_abs_rows(cur[:, None], self.tables[par], buf, vals)
 
     def codes(self, parity: int, gray_high: int, rs) -> np.ndarray:
         """Walk codes of within-block candidate positions ``rs``."""
         return np.uint64(gray_high << self.q) | self.low[parity][rs]
 
 
+def _direct_value(inst: Instance, code) -> Union[int, float]:
+    return disc_value(inst, signs_from_codes([code], inst.cols, "gray")[0]).value
+
+
 def exact_discrepancy(inst: Instance, max_n: int = EXACT_MAX_N) -> DiscrepancyResult:
-    """Global minimum of max_i |(M sigma)_i| over all sign vectors."""
+    """Global minimum of max_i |(M sigma)_i| over all sign vectors.
+
+    The minimum is decided on direct products: candidates whose scanned
+    norm is within the scan's rounding bound of the running minimum are
+    re-evaluated by ``disc_value``, and the first minimizer in walk order
+    wins.  The value and row sums reported are ``disc_value`` of it.
+    """
     n = inst.cols
     if n > max_n:
         raise CapacityError(f"exact solve for n={n} exceeds max_n={max_n}")
     scan = _GrayScan(_work_entries(inst))
+    slack = scan.slack
     best = np.inf
     best_code = np.uint64(0)
-    best_sums = None
-    for par, gh, cand in scan.blocks():
-        vals = np.abs(cand).max(axis=1)
+    for par, gh, vals in scan.blocks():
         r = int(np.argmin(vals))
-        if vals[r] < best:
-            best = vals[r]
-            best_code = scan.codes(par, gh, r)
-            best_sums = cand[r].copy()
-    argmin = _signs_from_codes(np.array([best_code], dtype=np.uint64), n)[0]
-    return DiscrepancyResult(value=_native_value(best), argmin=argmin, row_sums=best_sums)
+        if not vals[r] < best + slack:
+            continue
+        if not slack:
+            best, best_code = vals[r], scan.codes(par, gh, r)
+            continue
+        near = np.flatnonzero((vals <= vals[r] + 2 * slack) & (vals < best + slack))
+        for code in scan.codes(par, gh, near):
+            value = _direct_value(inst, code)
+            if value < best:
+                best, best_code = value, code
+    argmin = signs_from_codes([best_code], n, "gray")[0]
+    return disc_value(inst, argmin)
 
 
 def enumerate_below(inst: Instance, threshold: float,
                     max_n: int = ENUMERATE_MAX_N) -> np.ndarray:
     """All sign vectors with max_i |(M sigma)_i| <= threshold (inclusive).
 
-    Returns a (count, n) int8 matrix, closed under global flip: first the
-    solutions with sigma(1) = +1 in walk order, then their negations in
-    the same order.
+    Membership is that of ``disc_value``: a candidate whose scanned norm is
+    within the scan's rounding bound of the threshold is re-decided on the
+    direct product.  Returns a (count, n) int8 matrix, closed under global
+    flip: first the solutions with sigma(1) = +1 in walk order, then their
+    negations in the same order.
     """
     n = inst.cols
     if n > max_n:
         raise CapacityError(f"enumeration for n={n} exceeds max_n={max_n}")
     scan = _GrayScan(_work_entries(inst))
+    slack = scan.slack
     found = []
-    for par, gh, cand in scan.blocks():
-        hits = np.nonzero(np.abs(cand).max(axis=1) <= threshold)[0]
-        if hits.size:
-            found.append(scan.codes(par, gh, hits))
+    for par, gh, vals in scan.blocks():
+        hits = np.flatnonzero(vals <= threshold + slack)
+        if not hits.size:
+            continue
+        codes = scan.codes(par, gh, hits)
+        if slack:
+            keep = vals[hits] <= threshold - slack
+            for i in np.flatnonzero(~keep):
+                keep[i] = _direct_value(inst, codes[i]) <= threshold
+            codes = codes[keep]
+        found.append(codes)
     if not found:
         return np.empty((0, n), dtype=np.int8)
-    half = _signs_from_codes(np.concatenate(found), n)
+    half = signs_from_codes(np.concatenate(found), n, "gray")
     return np.concatenate([half, -half], axis=0)
 
 

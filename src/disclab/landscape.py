@@ -11,6 +11,7 @@ the integer whose bit (n-1-j) is 0 for sigma(j) = +1 and 1 for -1, with
 coordinate 1 most significant; ascending codes order Sigma_n
 lexicographically with +1 < -1.  "First certificate" always means first
 in this order (prefix first, then member suffixes / members in turn).
+``signs_from_codes`` and ``codes_from_signs`` with order "lex" convert.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import philox
-from .discrepancy import disc_value, enumerate_below
+from .discrepancy import (codes_from_signs, disc_value, enumerate_below, max_abs_rows,
+                          signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
 from .instances import Instance, generate, interpolate
 from .online import run_online
@@ -32,6 +34,11 @@ OGP_MAX_N_PAIR = 18
 OGP_MAX_N_TRIPLE = 14
 
 _INTEGER_DISORDERS = ("rademacher", "bernoulli")
+
+# entries of one shared-prefix search buffer (M x prefixes x suffixes)
+_SEARCH_ENTRIES = 1 << 16
+# gram entries per row block of the overlap histogram's pair count
+_HISTOGRAM_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +66,44 @@ def pairwise_overlaps(solutions: np.ndarray) -> np.ndarray:
     return np.concatenate(out) if out else np.empty(0)
 
 
+def _distance_counts(solutions: np.ndarray) -> np.ndarray:
+    """Number of unordered solution pairs at each Hamming distance 0..n.
+
+    Row blocks of at most _HISTOGRAM_ENTRIES gram entries are paired with
+    themselves and every later row; a block's square counts each inner
+    pair twice plus its diagonal at distance 0.
+    """
+    sols = np.asarray(solutions, dtype=np.float32)    # +-1 inner products stay exact
+    s, n = sols.shape
+    counts = np.zeros(n + 1, dtype=np.int64)
+    rows = max(1, _HISTOGRAM_ENTRIES // s)
+    for start in range(0, s, rows):
+        block = sols[start:start + rows]
+        square = _block_distances(block, block, n)
+        square[0] -= block.shape[0]                   # the diagonal
+        counts += square // 2 + _block_distances(block, sols[start + rows:], n)
+    return counts
+
+
+def _block_distances(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    gram = a @ b.T
+    np.subtract(n, gram, out=gram)
+    gram *= 0.5
+    return np.bincount(gram.astype(np.intp).ravel(), minlength=n + 1)
+
+
 def overlap_histogram(solutions, bins: int) -> Histogram:
     sols = np.asarray(solutions)
     if sols.ndim != 2 or sols.shape[0] < 2:
         raise ParameterError("need at least 2 solutions of equal length")
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
-    overlaps = pairwise_overlaps(sols)
-    counts, edges = np.histogram(overlaps, bins=bins, range=(-1.0, 1.0))
-    return Histogram(bin_edges=edges, counts=counts)
+    n = sols.shape[1]
+    # each of the n+1 distinct overlaps 1 - 2d/n lands in one bin, weighted
+    # by its pair count
+    counts, edges = np.histogram(1.0 - 2.0 * np.arange(n + 1) / n, bins=bins,
+                                 range=(-1.0, 1.0), weights=_distance_counts(sols))
+    return Histogram(bin_edges=edges, counts=counts.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +168,6 @@ def verify_certificate(cert: TupleCertificate, instances: Sequence[Instance],
 # Shared-prefix searches (suffix-resampled ensembles)
 # ---------------------------------------------------------------------------
 
-def _lex_signs(codes: np.ndarray, n: int) -> np.ndarray:
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    bits = (np.asarray(codes, dtype=np.uint64)[:, None] >> shifts[None, :]) & np.uint64(1)
-    return (1 - 2 * bits.astype(np.int8))
-
-
-def lex_codes(signs: np.ndarray) -> np.ndarray:
-    """Inverse of the code convention: (count, n) signs -> uint64 codes."""
-    signs = np.asarray(signs)
-    n = signs.shape[1]
-    weights = (np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64))
-    bits = (signs < 0).astype(np.uint64)
-    return bits @ weights
-
-
 def _check_shared_prefix(members: Sequence[Instance], k: int) -> None:
     n = members[0].cols
     for mem in members[1:]:
@@ -159,39 +180,41 @@ def _check_shared_prefix(members: Sequence[Instance], k: int) -> None:
 def _search_shared_prefix(members: Sequence[Instance], k: int,
                           threshold: float) -> Optional[tuple[int, list[int]]]:
     """First (prefix, per-member suffix) with every member satisfying
-    ||M_i sigma_i||_inf <= threshold, or None."""
+    ||M_i sigma_i||_inf <= threshold, or None.
+
+    Prefix sums are kept as (M, P) and each member's suffix sums as
+    (M, 2^k), so ``max_abs_rows`` reduces over the rows of an (M, P, 2^k)
+    buffer; a prefix survives a member when any suffix is feasible.
+    """
     n = members[0].cols
     n_pref = n - k
-    work = [np.asarray(mem.entries,
-                       dtype=np.int64 if mem.disorder in _INTEGER_DISORDERS else np.float64)
-            for mem in members]
+    dtype = np.int64 if members[0].disorder in _INTEGER_DISORDERS else np.float64
+    work = [np.asarray(mem.entries, dtype=dtype) for mem in members]
     m_rows = members[0].rows
-    suffix_signs = _lex_signs(np.arange(1 << k, dtype=np.uint64), k).astype(work[0].dtype)
-    suffix_sums = [suffix_signs @ w[:, n_pref:].T for w in work]     # (2^k, M) each
-    if n_pref == 0:
-        prefix_codes = np.zeros(1, dtype=np.uint64)
-    else:
-        prefix_codes = np.arange(1 << n_pref, dtype=np.uint64)
-    chunk = max(1, (1 << 22) // ((1 << k) * m_rows))
+    suffix_signs = signs_from_codes(np.arange(1 << k, dtype=np.uint64), k, "lex").astype(dtype)
+    suffix_sums = [np.ascontiguousarray((suffix_signs @ w[:, n_pref:].T).T)
+                   for w in work]                                 # (M, 2^k) each
+    n_prefixes = 1 << n_pref
+    chunk = min(n_prefixes, max(1, _SEARCH_ENTRIES // ((1 << k) * m_rows)))
+    buf = np.empty((m_rows, chunk, 1 << k), dtype=dtype)
+    vals = np.empty((chunk, 1 << k), dtype=dtype)
     prefix_cols = work[0][:, :n_pref]
-    for start in range(0, prefix_codes.shape[0], chunk):
-        codes = prefix_codes[start:start + chunk]
-        if n_pref:
-            psums = _lex_signs(codes, n_pref).astype(work[0].dtype) @ prefix_cols.T
-        else:
-            psums = np.zeros((1, m_rows), dtype=work[0].dtype)
-        ok = np.ones(codes.shape[0], dtype=bool)
+    for start in range(0, n_prefixes, chunk):
+        codes = np.arange(start, min(start + chunk, n_prefixes), dtype=np.uint64)
+        p = codes.shape[0]
+        psums = (signs_from_codes(codes, n_pref, "lex").astype(dtype) @ prefix_cols.T).T
+        ok = np.ones(p, dtype=bool)
         for ss in suffix_sums:
-            cand = psums[:, None, :] + ss[None, :, :]
-            ok &= np.any(np.all(np.abs(cand) <= threshold, axis=2), axis=1)
+            norms = max_abs_rows(psums[:, :, None], ss[:, None, :], buf[:, :p], vals[:p])
+            ok &= np.any(norms <= threshold, axis=1)
             if not ok.any():
                 break
         if ok.any():
             local = int(np.argmax(ok))
             suffixes = []
             for ss in suffix_sums:
-                feas = np.all(np.abs(psums[local][None, :] + ss) <= threshold, axis=1)
-                suffixes.append(int(np.argmax(feas)))
+                norms = np.max(np.abs(psums[:, local, None] + ss), axis=0)
+                suffixes.append(int(np.argmax(norms <= threshold)))
             return start + local, suffixes
     return None
 
@@ -201,7 +224,7 @@ def _prefix_certificate(members: Sequence[Instance], k: int, threshold: float,
     n = members[0].cols
     p, suffixes = hit
     codes = np.array([(p << k) | s for s in suffixes], dtype=np.uint64)
-    sigma = _lex_signs(codes, n)
+    sigma = signs_from_codes(codes, n, "lex")
     disc = np.array([disc_value(mem, sigma[i]).value for i, mem in enumerate(members)],
                     dtype=float)
     return TupleCertificate(members=sigma, overlaps=_overlap_vector(sigma),
@@ -333,7 +356,7 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
         for ai, tau in enumerate(angles):
             inst_tau = interpolate(base, fresh[i], tau)
             sols = enumerate_below(inst_tau, threshold, max_n=n)
-            for code in lex_codes(sols):
+            for code in codes_from_signs(sols, "lex"):
                 wit.setdefault(int(code), ai)
         member_codes.append(np.array(sorted(wit), dtype=np.uint64))
         witnesses.append(wit)
@@ -357,7 +380,7 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
 
     if not extend(0):
         return None
-    sigma = _lex_signs(np.array(chosen, dtype=np.uint64), n)
+    sigma = signs_from_codes(chosen, n, "lex")
     taus = [angles[witnesses[i][chosen[i]]] for i in range(m)]
     disc = np.array([disc_value(interpolate(base, fresh[i], taus[i]), sigma[i]).value
                      for i in range(m)], dtype=float)

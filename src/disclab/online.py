@@ -23,6 +23,7 @@ from typing import Union
 import numpy as np
 
 from . import philox
+from .discrepancy import disc_value
 from .errors import ContractViolationError, ParameterError
 from .instances import Instance
 
@@ -140,9 +141,9 @@ def run_online(alg, inst: Instance, omega: int = 0) -> OnlineResult:
         s = int(s)
         sigma[t] = s
         partial += s * col
-    value = np.max(np.abs(partial))
-    value = float(value) if work.dtype == np.float64 else int(value)
-    return OnlineResult(sigma=sigma, row_sums=partial, value=value)
+    # report the direct product of the chosen signs, not the drifted running sums
+    final = disc_value(inst, sigma)
+    return OnlineResult(sigma=sigma, row_sums=final.row_sums, value=final.value)
 
 
 def random_signing(inst: Instance, seed: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from . import philox
 from .errors import ParameterError
@@ -343,6 +342,8 @@ def equicorrelated_box_probability(m: int, rho: float, half_width: float) -> flo
         return single
     if rho == 0.0:
         return single ** m
+    from scipy import integrate    # lazy: importing scipy dominates CLI start-up
+
     sr, sv = math.sqrt(rho), math.sqrt(1.0 - rho)
 
     def integrand(w):
@@ -357,6 +358,8 @@ def equicorrelated_box_probability(m: int, rho: float, half_width: float) -> flo
 
 def _bivariate_rectangle(a1, b1, a2, b2, rho):
     # P[a1 <= Z1 <= b1, a2 <= Z2 <= b2] for unit normals with correlation rho
+    from scipy import integrate
+
     s = math.sqrt(max(1e-300, 1.0 - rho * rho))
 
     def integrand(z):
@@ -384,6 +387,8 @@ def box_probability_quadrature(covariance, half_width: float) -> float:
     if m == 2:
         return _bivariate_rectangle(-t[0], t[0], -t[1], t[1], corr[0, 1])
     if m == 3:
+        from scipy import integrate
+
         r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
         s2 = math.sqrt(1.0 - r12 * r12)
         s3 = math.sqrt(1.0 - r13 * r13)

@@ -38,6 +38,23 @@ def naive_exact_value(entries):
     return vals.min()
 
 
+def gray_first_minimizer(entries):
+    """First minimizer of the max-norm in the exact solver's walk order.
+
+    sigma(1) = +1; candidate i = 0, 1, ... visits g = i XOR (i >> 1), and
+    bit b of g sets column b+2 to -1.  One full-space recompute.
+    """
+    entries = np.asarray(entries)
+    n = entries.shape[1]
+    g = np.arange(1 << (n - 1), dtype=np.int64)
+    g ^= g >> 1
+    sigma = np.ones((g.shape[0], n), dtype=entries.dtype)
+    for b in range(n - 1):
+        sigma[((g >> b) & 1) == 1, b + 1] = -1
+    vals = np.abs(sigma @ entries.T).max(axis=1)
+    return sigma[int(np.argmin(vals))]
+
+
 def naive_solution_set(entries, threshold):
     """Frozen set of sign tuples with max-norm <= threshold."""
     entries = np.asarray(entries)

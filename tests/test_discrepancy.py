@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclab import (CapacityError, Instance, ParameterError,
                      UnsupportedDisorderError, disc_value, enumerate_below,
                      enumerate_solutions, exact_discrepancy, generate,
                      parse_sign_string, sbp_membership, sign_string)
-from oracles import (naive_disc_value, naive_exact_value, naive_solution_set)
+from disclab.discrepancy import codes_from_signs, signs_from_codes
+from oracles import (gray_first_minimizer, naive_disc_value, naive_exact_value,
+                     naive_solution_set)
 
 
 def _inst(rows, disorder="rademacher"):
@@ -75,6 +79,39 @@ def test_exact_multi_block_path():
     # n - 1 > block bits so the high-bit incremental updates are exercised
     inst = generate(3, 16, "rademacher", 99)
     assert exact_discrepancy(inst).value == naive_exact_value(inst.entries)
+
+
+@pytest.mark.parametrize("kind,rows,cols", [
+    ("rademacher", 5, 10), ("rademacher", 4, 13), ("rademacher", 6, 15),
+    ("rademacher", 3, 17), ("bernoulli", 4, 12), ("bernoulli", 3, 13),
+    ("bernoulli", 4, 16)])
+def test_exact_argmin_first_in_walk_order(kind, rows, cols):
+    # n-1 <= 12 scans one block; n-1 > 12 walks several blocks of both parities
+    for seed in range(4):
+        inst = generate(rows, cols, kind, seed, p=0.5 if kind == "bernoulli" else None)
+        want = gray_first_minimizer(inst.entries)
+        assert np.array_equal(exact_discrepancy(inst).argmin, want)
+
+
+def test_exact_reports_direct_product_gaussian():
+    for seed in range(10):
+        inst = generate(8, 18, "gaussian", seed)
+        res = exact_discrepancy(inst)
+        direct = disc_value(inst, res.argmin)
+        assert res.value == direct.value
+        assert np.array_equal(res.row_sums, direct.row_sums)
+
+
+def test_enumerate_threshold_decided_on_direct_product():
+    # a threshold equal to a vector's direct-product norm admits that vector
+    for seed in range(10):
+        inst = generate(8, 18, "gaussian", seed)
+        best = disc_value(inst, exact_discrepancy(inst).argmin)
+        sols = enumerate_below(inst, best.value)
+        got = {tuple(int(v) for v in row) for row in sols}
+        assert tuple(int(v) for v in best.argmin) in got
+        assert tuple(-int(v) for v in best.argmin) in got
+        assert all(disc_value(inst, row).value <= best.value for row in sols)
 
 
 def test_exact_deterministic_argmin():
@@ -168,3 +205,35 @@ def test_sign_string_roundtrip():
         parse_sign_string("+x-")
     with pytest.raises(ParameterError):
         parse_sign_string("")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sign_code_roundtrip_lex(data):
+    n = data.draw(st.integers(1, 40))
+    codes = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
+    signs = signs_from_codes(codes, n, "lex")
+    assert signs.dtype == np.int8 and signs.shape == (len(codes), n)
+    assert codes_from_signs(signs, "lex").tolist() == codes
+    assert np.array_equal(signs_from_codes(codes_from_signs(signs, "lex"), n, "lex"), signs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sign_code_roundtrip_gray(data):
+    n = data.draw(st.integers(1, 40))
+    codes = data.draw(st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=1, max_size=16))
+    signs = signs_from_codes(codes, n, "gray")
+    assert signs.shape == (len(codes), n) and np.all(signs[:, 0] == 1)
+    assert codes_from_signs(signs, "gray").tolist() == codes
+    assert np.array_equal(signs_from_codes(codes_from_signs(signs, "gray"), n, "gray"), signs)
+
+
+def test_sign_code_conventions():
+    # lex: coordinate 1 is the most significant bit; gray: bit b is column b+2
+    assert sign_string(signs_from_codes([0b0110], 4, "lex")[0]) == "+--+"
+    assert sign_string(signs_from_codes([0b0110], 4, "gray")[0]) == "++--"
+    lex = signs_from_codes(np.arange(8), 3, "lex")
+    assert [sign_string(s) for s in lex] == sorted(sign_string(s) for s in lex)
+    with pytest.raises(ParameterError):
+        signs_from_codes([0], 3, "colex")

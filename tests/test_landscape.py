@@ -8,6 +8,8 @@ from disclab import (CapacityError, GreedyOnline, OgpWindow, ParameterError,
                      interpolate, overlap_histogram, resample_suffix,
                      search_ogp_tuples, search_xi_disc, search_xi_sbp,
                      stability_probe, verify_certificate)
+from disclab import landscape
+from disclab.cli import main
 from disclab.landscape import pairwise_overlaps
 from disclab.philox import derive_seed
 from oracles import naive_ogp_exists, naive_xi_exists
@@ -39,6 +41,28 @@ def test_histogram_full_cube_binomial():
     weights = np.array([math.comb(n, k) * 2 ** n / 2 for k in range(1, n + 1)])
     want, _ = np.histogram(vals, bins=bins, range=(-1.0, 1.0), weights=weights)
     assert np.array_equal(h.counts, want.astype(np.int64))
+
+
+@pytest.mark.parametrize("block_entries", [1, 37, 1 << 20])
+def test_histogram_counts_match_pairwise_reference(block_entries, monkeypatch):
+    monkeypatch.setattr(landscape, "_HISTOGRAM_ENTRIES", block_entries)
+    rng = np.random.default_rng(block_entries)
+    for _ in range(12):
+        s, n, bins = int(rng.integers(2, 150)), int(rng.integers(1, 24)), int(rng.integers(1, 30))
+        sols = rng.choice([-1, 1], size=(s, n)).astype(np.int8)
+        h = overlap_histogram(sols, bins=bins)
+        want, edges = np.histogram(pairwise_overlaps(sols), bins=bins, range=(-1.0, 1.0))
+        assert np.array_equal(h.counts, want) and h.counts.dtype == want.dtype
+        assert np.array_equal(h.bin_edges, edges)
+
+
+def test_cli_histogram_large_solution_set(tmp_path):
+    # 51,472 solutions: 1.3e9 pairs, counted without materializing them
+    out = tmp_path / "hist.csv"
+    assert main(["landscape", "histogram", "--rows", "4", "--cols", "18", "--seed", "3",
+                 "--kappa", "1.0", "--out", str(out)]) == 0
+    counts = [int(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert sum(counts) == 51472 * 51471 // 2
 
 
 def test_histogram_validation():

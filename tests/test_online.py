@@ -167,3 +167,14 @@ def test_potential_beats_random_small():
         sigma = random_signing(inst, s).astype(np.int64)
         rnd_vals.append(int(np.abs(inst.entries @ sigma).max()))
     assert np.median(pot_vals) <= np.median(rnd_vals)
+
+
+@pytest.mark.parametrize("alg", ["greedy", "potential", "random"])
+def test_online_reports_direct_product(alg):
+    # the running sums drift on gaussian instances; the report must not
+    for seed in range(10):
+        inst = generate(32, 1024, "gaussian", seed)
+        res = run_online(make_algorithm(alg), inst, omega=seed)
+        sums = inst.entries @ res.sigma.astype(np.float64)
+        assert np.array_equal(res.row_sums, sums)
+        assert res.value == float(np.max(np.abs(sums)))

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from disclab import (ParameterError, exact_discrepancy, generate,
                      overlap_histogram, psi_sbp, enumerate_solutions)
+import disclab
 from disclab.cli import main
 from disclab.experiment import ExperimentConfig, parse_seed_range, run_experiment
 from disclab.reports import emit_report, histogram_csv, render_json, to_payload
@@ -247,3 +251,10 @@ def test_cli_experiment(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg)]) == 0
     assert "2/2 tasks ok" in capsys.readouterr().out
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(disclab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, disclab.cli; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
