@@ -1,7 +1,61 @@
 import numpy as np
 import pytest
 
-from disclab import philox
+from disclab import philox, theory
+
+# (counter, key) -> output: the Random123 known-answer vectors for
+# Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As Easy as
+# 1, 2, 3", SC'11).
+M32 = 0xFFFFFFFF
+KNOWN_ANSWERS = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((M32,) * 4, (M32, M32), (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+]
+
+
+@pytest.mark.parametrize("counter,key,want", KNOWN_ANSWERS)
+def test_known_answers_scalar_reference(counter, key, want):
+    assert philox.philox4x32_scalar(counter, key) == want
+
+
+@pytest.mark.parametrize("counter,key,want", KNOWN_ANSWERS)
+def test_known_answers_single_block(counter, key, want):
+    out = philox.philox4x32(*counter, *key)
+    assert tuple(int(w) for w in out) == want
+
+
+@pytest.mark.parametrize("counter,key,want", KNOWN_ANSWERS)
+def test_known_answers_broadcast_many_blocks(counter, key, want):
+    # the vector sits at a few positions of a grid spanning several tiles;
+    # its neighbours carry other counters and keys
+    n = 100_003
+    pos = [0, 1, 16383, 16384, 50_000, n - 1]
+    c = [np.arange(n, dtype=np.uint64) * (w + 1) for w in range(4)]
+    k0 = np.arange(n, dtype=np.uint64)
+    for p in pos:
+        for w in range(4):
+            c[w][p] = counter[w]
+        k0[p] = key[0]
+    out = philox.philox4x32(c[0][:, None], c[1][:, None], c[2][:, None], c[3][:, None],
+                            k0[:, None], np.array([key[1]], dtype=np.uint64))
+    assert out[0].shape == (n, 1)
+    for p in pos:
+        assert tuple(int(o[p, 0]) for o in out) == want
+    q = 12_345
+    ref = philox.philox4x32_scalar([int(x[q]) for x in c], (int(k0[q]), key[1]))
+    assert tuple(int(o[q, 0]) for o in out) == ref
+
+
+def test_mc_box_probability_estimate_pinned():
+    # recorded before the sample loop was streamed: the estimate is a
+    # count of hits and must not depend on how the samples are chunked
+    spec = theory.CovarianceSpec(3, 0.8, 0.0)
+    samples = (1 << 18) + 12345
+    est = theory.mc_box_probability(spec, 1.0, samples, seed=20231)
+    assert est.samples == samples
+    assert est.estimate == 132977 / samples
 
 
 def test_vectorized_matches_scalar_reference():
