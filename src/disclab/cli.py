@@ -16,7 +16,7 @@ import sys
 from . import landscape, theory
 from .discrepancy import (enumerate_solutions, exact_discrepancy, parse_sign_string,
                           sbp_membership, sign_string)
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .experiment import load_config, parse_seed_range, run_experiment
 from .instances import generate, load_instance, resample_suffix, save_instance
 from .online import make_algorithm, run_online
@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, CapacityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0

@@ -167,7 +167,8 @@ def run_greedy_batch(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``entries`` has shape (B, M, n); returns (signs (B, n) int8,
     final row sums (B, M)).  Decision-for-decision identical to running
-    GreedyOnline on each instance (same tie rule).
+    GreedyOnline on each instance (same tie rule); row sums are the
+    direct product ``entries[i] @ signs[i]`` of each instance.
     """
     b, m, n = entries.shape
     partial = np.zeros((b, m), dtype=entries.dtype)
@@ -179,4 +180,8 @@ def run_greedy_batch(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = np.where(plus <= minus, 1, -1).astype(np.int8)
         signs[:, t] = s
         partial += s[:, None] * col
-    return signs, partial
+    # report the direct products of the chosen signs, not the drifted running sums
+    sums = np.empty_like(partial)
+    for i in range(b):
+        sums[i] = entries[i] @ signs[i].astype(entries.dtype)
+    return signs, sums

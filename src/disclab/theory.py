@@ -22,6 +22,9 @@ from .errors import ParameterError
 
 _LOG2_2PI = math.log2(2.0 * math.pi)
 _PD_TOL = 1e-12
+# samples per Monte Carlo chunk: a chunk's draws span a few Philox tiles,
+# so the estimator's memory does not grow with the sample count
+_MC_CHUNK = 1 << 14
 
 
 def prob_abs_z_le(kappa: float) -> float:
@@ -284,10 +287,11 @@ def mc_box_probability(covariance, half_width: float, samples: int,
     """Monte Carlo estimate of P[max_i |Z_i| <= half_width], Z ~ N(0, cov).
 
     Draws are indexed by (sample, dimension) counters, so the estimate is
-    independent of any chunking of the sample loop.  Degenerate (singular
-    but PSD) covariances such as perfectly coupled coordinates are
-    accepted via an eigenvalue factorization; indefinite input is an
-    error.
+    independent of any chunking of the sample loop.  Samples are streamed
+    in chunks of 2^14, so memory does not grow with ``samples``.
+    Degenerate (singular but PSD) covariances such as perfectly coupled
+    coordinates are accepted via an eigenvalue factorization; indefinite
+    input is an error.
     """
     if isinstance(covariance, CovarianceSpec):
         covariance = covariance.materialize()
@@ -303,11 +307,10 @@ def mc_box_probability(covariance, half_width: float, samples: int,
         chol = v * np.sqrt(np.clip(w, 0.0, None))
     m = cov.shape[0]
     hits = 0
-    chunk = 1 << 18
-    for start in range(0, samples, chunk):
-        stop = min(samples, start + chunk)
+    dim = np.arange(m, dtype=np.uint64)[None, :]
+    for start in range(0, samples, _MC_CHUNK):
+        stop = min(samples, start + _MC_CHUNK)
         idx = np.arange(start, stop, dtype=np.uint64)[:, None]
-        dim = np.arange(m, dtype=np.uint64)[None, :]
         z = philox.gaussians(seed, idx, dim, 4)
         x = z @ chol.T
         hits += int(np.count_nonzero(np.max(np.abs(x), axis=1) <= half_width))

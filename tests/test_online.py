@@ -5,8 +5,8 @@ import pytest
 
 from disclab import (ContractViolationError, GreedyOnline, Instance,
                      ParameterError, PotentialOnline, RandomSigningOnline,
-                     generate, make_algorithm, random_signing, resample_suffix,
-                     run_greedy_batch, run_online)
+                     generate, generate_batch, make_algorithm, random_signing,
+                     resample_suffix, run_greedy_batch, run_online)
 
 
 class ConstantPlus:
@@ -115,6 +115,13 @@ def test_greedy_batch_matches_scalar():
         res = run_online(GreedyOnline(), Instance(4, 40, "gaussian", i, entries[i]))
         assert np.array_equal(res.sigma, signs[i])
         assert np.allclose(res.row_sums, sums[i])
+
+
+def test_greedy_batch_reports_direct_products():
+    entries = generate_batch(32, 1024, "gaussian", np.arange(10))
+    signs, sums = run_greedy_batch(entries)
+    for i in range(10):
+        assert np.array_equal(sums[i], entries[i] @ signs[i])
 
 
 def test_random_signing_matches_online_path():

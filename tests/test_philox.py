@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disclab import philox, theory
+from disclab import ParameterError, philox, theory
+
+TILE = philox.TILE
 
 # (counter, key) -> output: the Random123 known-answer vectors for
 # Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As Easy as
@@ -28,10 +32,10 @@ def test_known_answers_single_block(counter, key, want):
 
 @pytest.mark.parametrize("counter,key,want", KNOWN_ANSWERS)
 def test_known_answers_broadcast_many_blocks(counter, key, want):
-    # the vector sits at a few positions of a grid spanning several tiles;
-    # its neighbours carry other counters and keys
-    n = 100_003
-    pos = [0, 1, 16383, 16384, 50_000, n - 1]
+    # the vector sits at a few positions of a grid spanning several tiles,
+    # on both sides of a tile boundary; its neighbours carry other counters
+    n = 6 * TILE + 3
+    pos = [0, 1, TILE - 1, TILE, 3 * TILE + 1, n - 1]
     c = [np.arange(n, dtype=np.uint64) * (w + 1) for w in range(4)]
     k0 = np.arange(n, dtype=np.uint64)
     for p in pos:
@@ -46,6 +50,72 @@ def test_known_answers_broadcast_many_blocks(counter, key, want):
     q = 12_345
     ref = philox.philox4x32_scalar([int(x[q]) for x in c], (int(k0[q]), key[1]))
     assert tuple(int(o[q, 0]) for o in out) == ref
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def broadcast_grids(draw):
+    """Six broadcastable inputs (c0..c3, k0, k1) of a grid of 2..3*TILE blocks."""
+    size = draw(st.sampled_from([TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+                | st.integers(2, 3 * TILE))
+    shape, rest = [], size
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.sampled_from(_divisors(rest)))
+        shape.append(d)
+        rest //= d
+    shape.append(rest)
+    shape = list(draw(st.permutations(shape)))
+    scalar_key = draw(st.booleans())
+    n_inputs = 4 if scalar_key else 6
+    # every axis is carried by at least one input; the others broadcast
+    keeps = [[draw(st.booleans()) for _ in shape] for _ in range(n_inputs)]
+    for axis in range(len(shape)):
+        keeps[draw(st.integers(0, n_inputs - 1))][axis] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = [rng.integers(0, 2**64, size=[d if k else 1 for d, k in zip(shape, keep)],
+                           dtype=np.uint64) for keep in keeps]
+    if scalar_key:
+        inputs += [int(x) for x in rng.integers(0, 2**32, size=2)]
+    return tuple(shape), inputs
+
+
+@settings(max_examples=25, deadline=None)
+@given(broadcast_grids())
+def test_tiled_path_equals_scalar_rounds(grid):
+    shape, inputs = grid
+    out = philox.philox4x32(*inputs)
+    assert all(o.shape == shape and o.dtype == np.uint64 for o in out)
+    flat = [np.broadcast_to(np.asarray(x, dtype=np.uint64), shape).ravel() for x in inputs]
+    words = np.stack([o.ravel() for o in out], axis=1)
+    for i in range(words.shape[0]):
+        ref = philox.philox4x32_scalar([int(x[i]) for x in flat[:4]],
+                                       [int(x[i]) for x in flat[4:]])
+        assert tuple(int(w) for w in words[i]) == ref
+
+
+@pytest.mark.parametrize("size", [TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+def test_transforms_equal_single_block_draws(size):
+    # every transform is applied tile by tile; a block's value must not
+    # depend on its position in a tile or on the tile it falls in
+    rows = np.arange(size, dtype=np.uint64)
+    pick = [0, TILE - 2, TILE - 1, TILE, size - 1]
+    pick = [i for i in pick if 0 <= i < size]
+    u1, u2 = philox.uniforms01(21, rows, 4, 1)
+    z = philox.gaussians(21, rows, 4, 1)
+    s = philox.signs(21, rows, 4, 1)
+    b = philox.bernoullis(21, 0.4, rows, 4, 1)
+    for i in pick:
+        v1, v2 = philox.uniforms01(21, i, 4, 1)
+        assert (u1[i], u2[i]) == (v1, v2)
+        assert z[i] == philox.gaussians(21, i, 4, 1)
+        assert s[i] == philox.signs(21, i, 4, 1)
+        assert b[i] == philox.bernoullis(21, 0.4, i, 4, 1)
+        w = philox.philox4x32_scalar((i, 4, 1, 0), (21, 0))
+        assert s[i] == 1 - 2 * (w[0] & 1)
+    assert z.dtype == np.float64 and s.dtype == np.int64 and b.dtype == np.int64
 
 
 def test_mc_box_probability_estimate_pinned():
@@ -112,6 +182,14 @@ def test_seed_validation():
         philox.split_key(-1)
     with pytest.raises(ValueError):
         philox.split_key(2**64)
+
+
+def test_out_of_range_seed_is_parameter_error():
+    for seed in (-1, 2**64):
+        with pytest.raises(ParameterError):
+            philox.split_key(seed)
+        with pytest.raises(ParameterError):
+            philox.gaussians(seed, np.arange(3), 0)
 
 
 def test_derive_seed_spread():

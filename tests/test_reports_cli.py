@@ -243,6 +243,20 @@ def test_cli_parameter_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_capacity_error_exit_code(capsys):
+    assert main(["disc", "--rows", "2", "--cols", "40", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_out_of_range_seed_exit_code(capsys):
+    seeds = f"{2**64}..{2**64}"
+    assert main(["online", "--alg", "greedy", "--rows", "2", "--cols", "4",
+                 "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_experiment(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "online", "alg": "random", "rows": 2,
