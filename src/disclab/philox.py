@@ -129,6 +129,7 @@ def _tiles(shape):
 
 
 def _scalar_schedule(k0: int, k1: int) -> list:
+    k0, k1 = k0 & 0xFFFFFFFF, k1 & 0xFFFFFFFF
     keys = []
     for _ in range(_ROUNDS):
         keys.append((np.uint64(k0), np.uint64(k1)))
@@ -187,26 +188,23 @@ def philox4x32(c0, c1, c2, c3, k0, k1, *, fold=_WORDS):
         words = philox4x32_scalar([a.item() for a in args[:4]], [a.item() for a in args[4:]])
         apply([np.array([w], dtype=np.uint64) for w in words], outs, scratch)
     elif size > 1:
-        grid = [np.broadcast_to(a, shape) for a in args]
-        bufs = [np.empty(min(size, TILE), dtype=np.uint64) for _ in range(6)]
         scalar_key = args[4].size == 1 and args[5].size == 1
         if scalar_key:
-            keys = _scalar_schedule(args[4].item() & 0xFFFFFFFF, args[5].item() & 0xFFFFFFFF)
-        else:
-            kb = [np.empty(min(size, TILE), dtype=np.uint64) for _ in range(2)]
+            keys = _scalar_schedule(args[4].item(), args[5].item())
+            args = args[:4]
+        grid = [np.broadcast_to(a, shape) for a in args]
+        # one buffer per loaded input, then the two round products
+        bufs = [np.empty(min(size, TILE), dtype=np.uint64) for _ in range(len(args) + 2)]
         for start, index in _tiles(shape):
             tile = [g[index] for g in grid]
             n = tile[0].size
-            x = [b[:n] for b in bufs[:4]]
-            for dst, src in zip(x, tile[:4]):
+            x = [b[:n] for b in bufs]
+            for dst, src in zip(x, tile):
                 _load(dst, src)
             if not scalar_key:
-                k = [b[:n] for b in kb]
-                for dst, src in zip(k, tile[4:]):
-                    _load(dst, src)
-                keys = _array_schedule(*k)
-            _rounds(x, bufs[4][:n], bufs[5][:n], keys)
-            apply(x, [o[start:start + n] for o in outs], scratch[:n])
+                keys = _array_schedule(x[4], x[5])
+            _rounds(x[:4], x[-2], x[-1], keys)
+            apply(x[:4], [o[start:start + n] for o in outs], scratch[:n])
     return tuple(o.reshape(shape) for o in outs)
 
 
