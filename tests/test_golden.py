@@ -1,10 +1,16 @@
 """Golden SHA-256 pins of seeded CLI outputs whose bytes must never drift.
 
-Every case is an integer-disorder exact sweep, a solution count or list,
-or a tuple-search certificate: outputs that are decided by exact
-comparisons and therefore stay byte-identical across changes to the
-cube-scan kernel.  The pins were recorded before the row-major scan
+The first fourteen cases are integer-disorder exact sweeps, solution
+counts or lists, and tuple-search certificates: outputs that are decided
+by exact comparisons and therefore stay byte-identical across changes to
+the cube-scan kernel.  Those pins were recorded before the row-major scan
 kernel replaced the candidate-major one.
+
+The ``online-*`` and ``stability-*`` cases pin the seeded sign vectors and
+reports of all three online algorithms on both disorders, and the
+stability probe at 8x256 with 37 trials, which spans more than one chunk
+of the probe's batch and ends in a ragged one.  They were recorded before
+the online step loop was batched.
 """
 
 import hashlib
@@ -70,6 +76,16 @@ CASES = {
                 "--grid", "3"]),
 }
 
+for _alg in ("greedy", "potential", "random"):
+    for _disorder in ("gaussian", "rademacher"):
+        CASES[f"online-{_alg}-{_disorder}"] = (
+            "cli", ["online", "--alg", _alg, "--rows", "32", "--cols", "1024",
+                    "--disorder", _disorder, "--seeds", "0..3"])
+    for _rho in ("0.999", "0.5"):
+        CASES[f"stability-{_alg}-{_rho}"] = (
+            "cli", ["landscape", "stability", "--alg", _alg, "--rho", _rho, "--rows", "8",
+                    "--cols", "256", "--trials", "37", "--threshold", "4.0", "--seed", "4"])
+
 GOLDEN = {
     "disc-rademacher-7x16":
         "566a636fb4d1ebad1b5cabb705ecf9ef3ff1deaa377ea316a05db2b02dddf72d",
@@ -85,10 +101,34 @@ GOLDEN = {
         "7b9cb6c2fd4d0adfe87ab1653809cc6bf527ac5778cf88de582a2cfbbdff6544",
     "ogp-triple":
         "e8ec30bda9322c1950e3ed414880f2199afa7396658ae6161e76539a990c18fd",
+    "online-greedy-gaussian":
+        "639907a51bf3511e701fd5b3b4fd4ecf1160fbfb1960ddcfc66a92d68be386fc",
+    "online-greedy-rademacher":
+        "c6e6bac82b6299742ae6b3a5dd9fe5a03fd3b28d1e57fecd24eeed3fb199e4f1",
+    "online-potential-gaussian":
+        "e5c254bad3e96ce950cde0ab7085a8b69c4054eefd09f3c98d60b95abd5b173b",
+    "online-potential-rademacher":
+        "d7a1a79647bc5459a2fc618a94fc79a57bce204bfbecd8f5bccc0bfd0efb998a",
+    "online-random-gaussian":
+        "36cbce65202a2bc4e16f117a670ab8f6471b60316160fb34e799af79adc1263d",
+    "online-random-rademacher":
+        "0bb59ec70c5ee8c29e0a81361f6281faec16b5677fa4708b22d744ea5fd7c16b",
     "sbp-count-4x16":
         "50c912a8e83171d575bba572ae50b4e444f37f885c4a0c2e021f63b6fba517d2",
     "sbp-list-3x12":
         "604f1e926f4d2947887824d3ed5760df69863f5608feb9a5fa65ffa2b326ff65",
+    "stability-greedy-0.5":
+        "af6e5f6a022c2908df47f836e65396ba4770e1dec0b96e378bbb92b54efefeae",
+    "stability-greedy-0.999":
+        "5ac06e200b1970fa2ca60f5158b17ca24c1a561cd178ecbda686aca79b854f77",
+    "stability-potential-0.5":
+        "c5a088a9f187ee46ef74c308d9d3d36b9bed460b84546d0992357e23a85e19d6",
+    "stability-potential-0.999":
+        "5605698b3130bba6c47f9bfd84c382e8b1a62292c1c7dc452a06dab2db1ebe7b",
+    "stability-random-0.5":
+        "233ac390ab98298dcd0e6f711fe2e8ec5a44ec25614121527402d50cb8b3d225",
+    "stability-random-0.999":
+        "71975fd871798dcce219565e9d14af276e6801d67b93b816842a20dd3d990402",
     "xi-disc-exhaust":
         "4ffa708954cf07d7662ecb0336febf6e62bc3c99754167cb4c7a27e11d3d45a4",
     "xi-disc-found":
