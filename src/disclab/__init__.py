@@ -10,8 +10,8 @@ governing when forbidden solution structures vanish.
 from .discrepancy import (DiscrepancyResult, disc_value, enumerate_below,
                           enumerate_solutions, exact_discrepancy, parse_sign_string,
                           sbp_membership, sign_string)
-from .errors import (CapacityError, ContractViolationError, ParameterError,
-                     UnsupportedDisorderError)
+from .errors import (CapacityError, ContractViolationError, InstanceFormatError,
+                     ParameterError, UnsupportedDisorderError)
 from .instances import (EnsembleSpec, Instance, generate, generate_batch,
                         interpolate, load_instance, resample_suffix,
                         save_instance, suffix_width)
@@ -21,7 +21,7 @@ from .landscape import (Histogram, OgpWindow, StabilityReport, TupleCertificate,
                         verify_certificate)
 from .online import (ALGORITHMS, GreedyOnline, OnlineResult, PotentialOnline,
                      RandomSigningOnline, make_algorithm, random_signing,
-                     run_greedy_batch, run_online)
+                     run_greedy_batch, run_online, run_online_batch)
 from .theory import (CovarianceReport, CovarianceSpec, ExponentReport, McEstimate,
                      OgpParams, StableConstants, TupleCountEstimate, alpha_c,
                      berry_esseen_bound, binary_entropy, box_probability_quadrature,

@@ -9,6 +9,7 @@ supplies the default output directory for experiment sweeps.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -189,7 +190,13 @@ def _cmd_experiment(args):
     sys.stdout.write(f"{n_ok}/{len(manifest['tasks'])} tasks ok; manifest written\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``disclab`` parser, built once per process on first use.
+
+    Reuse is safe: parse_args returns a fresh namespace each call, and no
+    action appends to or mutates a shared default.
+    """
     ap = argparse.ArgumentParser(prog="disclab",
                                  description="discrepancy / perceptron laboratory")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -9,6 +9,10 @@ class CapacityError(RuntimeError):
     """Problem size exceeds the configured exhaustive-enumeration bound."""
 
 
+class InstanceFormatError(ParameterError):
+    """An instance file is missing, unreadable or malformed."""
+
+
 class UnsupportedDisorderError(ParameterError):
     """Operation is defined only for a different disorder family."""
 

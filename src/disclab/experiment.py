@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .discrepancy import enumerate_solutions, exact_discrepancy
@@ -51,7 +51,6 @@ class ExperimentConfig:
     kappa: Optional[float] = None
     max_n: Optional[int] = None
     out_dir: str = "."
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -74,9 +73,13 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
         seeds = tuple(parse_seed_range(raw.pop("seeds", [])))
-        known = {f for f in cls.__dataclass_fields__ if f not in ("seeds", "extras")}
-        kwargs = {k: raw.pop(k) for k in list(raw) if k in known}
-        return cls(seeds=seeds, extras=raw, **kwargs)
+        unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ParameterError(f"unknown experiment config keys: {', '.join(unknown)}")
+        missing = [k for k in ("kind", "rows", "cols") if k not in raw]
+        if missing:
+            raise ParameterError(f"experiment config lacks {', '.join(missing)}")
+        return cls(seeds=seeds, **raw)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "rows": self.rows, "cols": self.cols,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import philox
-from .errors import ParameterError, UnsupportedDisorderError
+from .errors import InstanceFormatError, ParameterError, UnsupportedDisorderError
 
 DISORDERS = ("gaussian", "rademacher", "bernoulli")
 
@@ -255,23 +255,73 @@ def save_instance(inst: Instance, path, body: str = "csv") -> None:
                 fh.write(line.encode("ascii") + b"\n")
 
 
-def load_instance(path) -> Instance:
-    with open(path, "rb") as fh:
+_HEADER_KEYS = ("rows", "cols", "disorder", "body")
+
+
+def _read_header(fh, path) -> dict:
+    try:
         header = json.loads(fh.readline().decode("ascii"))
-        rows, cols = header["rows"], header["cols"]
-        disorder = header["disorder"]
-        if header["body"] == "raw":
-            buf = fh.read(rows * cols * 8)
-            entries = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
-            if disorder in ("rademacher", "bernoulli"):
-                entries = entries.astype(np.int64)
-        else:
-            text = fh.read().decode("ascii").strip().splitlines()
-            if disorder in ("rademacher", "bernoulli"):
-                entries = np.array([[int(v) for v in line.split(",")] for line in text],
-                                   dtype=np.int64)
-            else:
-                entries = np.array([[float(v) for v in line.split(",")] for line in text],
-                                   dtype=np.float64)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InstanceFormatError(f"{path}: first line is not a JSON header ({exc})") from None
+    if not isinstance(header, dict):
+        raise InstanceFormatError(f"{path}: header is not a JSON object")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise InstanceFormatError(f"{path}: header lacks {', '.join(missing)}")
+    rows, cols = header["rows"], header["cols"]
+    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
+        raise InstanceFormatError(f"{path}: rows and cols must be positive integers, "
+                                  f"got {rows!r} and {cols!r}")
+    if header["disorder"] not in DISORDERS:
+        raise InstanceFormatError(f"{path}: unknown disorder {header['disorder']!r}")
+    if header["body"] not in ("csv", "raw"):
+        raise InstanceFormatError(f"{path}: body must be 'csv' or 'raw', "
+                                  f"got {header['body']!r}")
+    return header
+
+
+def _parse_csv(body: bytes, rows: int, cols: int, integer: bool, path) -> np.ndarray:
+    try:
+        lines = body.decode("ascii").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: csv body is not ascii ({exc})") from None
+    if len(lines) != rows:
+        raise InstanceFormatError(f"{path}: csv body has {len(lines)} rows, header says {rows}")
+    parse = int if integer else float
+    out = np.empty((rows, cols), dtype=np.int64 if integer else np.float64)
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if len(fields) != cols:
+            raise InstanceFormatError(f"{path}: csv row {i} has {len(fields)} values, "
+                                      f"header says {cols}")
+        try:
+            out[i] = [parse(v) for v in fields]
+        except (ValueError, OverflowError) as exc:
+            raise InstanceFormatError(f"{path}: csv row {i}: {exc}") from None
+    return out
+
+
+def load_instance(path) -> Instance:
+    """Read an instance file; any defect raises InstanceFormatError."""
+    try:
+        with open(path, "rb") as fh:
+            header = _read_header(fh, path)
+            body = fh.read()
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot read instance file {path}: "
+                                  f"{exc.strerror or exc}") from None
+    rows, cols = header["rows"], header["cols"]
+    integer = header["disorder"] in ("rademacher", "bernoulli")
+    if header["body"] == "raw":
+        need = rows * cols * 8
+        if len(body) < need:
+            raise InstanceFormatError(f"{path}: raw body holds {len(body)} bytes, "
+                                      f"{rows}x{cols} float64 entries need {need}")
+        entries = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols).copy()
+        if integer:
+            entries = entries.astype(np.int64)
+    else:
+        entries = _parse_csv(body, rows, cols, integer, path)
     entries.setflags(write=False)
-    return Instance(rows, cols, disorder, header.get("seed"), entries, header.get("p"))
+    return Instance(rows, cols, header["disorder"], header.get("seed"), entries,
+                    header.get("p"))

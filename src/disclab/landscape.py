@@ -27,7 +27,7 @@ from .discrepancy import (codes_from_signs, disc_value, enumerate_below, max_abs
                           signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
 from .instances import Instance, generate, interpolate
-from .online import run_online
+from .online import run_online_batch
 
 XI_MAX_N = 22
 OGP_MAX_N_PAIR = 18
@@ -39,6 +39,8 @@ _INTEGER_DISORDERS = ("rademacher", "bernoulli")
 _SEARCH_ENTRIES = 1 << 16
 # gram entries per row block of the overlap histogram's pair count
 _HISTOGRAM_ENTRIES = 1 << 20
+# float64 entries (1 MB) of one stability-probe batch of instance pairs
+_PROBE_ENTRIES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +427,10 @@ def stability_probe(alg, rho: float, trials: int, n: int, rows: int,
 
     The correlation is realized by interpolation with cos(tau) = rho; the
     per-trial pair is (M, cos(tau) M + sin(tau) M') for an independent M'.
+    Trials run through ``run_online_batch`` in chunks, base and perturbed
+    instances side by side in one (2k, rows, n) array of at most
+    _PROBE_ENTRIES = 2^17 entries (one pair if a pair alone is larger), so
+    memory does not grow with the trial count.
     """
     if not 0.0 <= rho <= 1.0:
         raise ParameterError(f"rho must lie in [0,1], got {rho}")
@@ -433,19 +439,25 @@ def stability_probe(alg, rho: float, trials: int, n: int, rows: int,
     tau = math.acos(rho)
     d_h = np.empty(trials, dtype=np.int64)
     fro = np.empty(trials, dtype=np.float64)
-    ok_a = np.empty(trials, dtype=bool)
-    ok_b = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        base = generate(rows, n, "gaussian", philox.derive_seed(seed, t, 0))
-        freshen = generate(rows, n, "gaussian", philox.derive_seed(seed, t, 1))
-        omega = philox.derive_seed(seed, t, 2)
-        pert = interpolate(base, freshen, tau)
-        ra = run_online(alg, base, omega=omega)
-        rb = run_online(alg, pert, omega=omega)
-        d_h[t] = int(np.count_nonzero(ra.sigma != rb.sigma))
-        fro[t] = float(np.linalg.norm(base.entries - pert.entries))
-        ok_a[t] = ra.value <= threshold
-        ok_b[t] = rb.value <= threshold
+    ok = np.empty((trials, 2), dtype=bool)        # base, perturbed
+    chunk = min(trials, max(1, _PROBE_ENTRIES // (2 * rows * n)))
+    pairs = np.empty((chunk, 2, rows, n))
+    omegas = np.empty((chunk, 2), dtype=np.uint64)
+    for start in range(0, trials, chunk):
+        k = min(chunk, trials - start)
+        for j, t in enumerate(range(start, start + k)):
+            base = generate(rows, n, "gaussian", philox.derive_seed(seed, t, 0))
+            freshen = generate(rows, n, "gaussian", philox.derive_seed(seed, t, 1))
+            pert = interpolate(base, freshen, tau)
+            pairs[j, 0] = base.entries
+            pairs[j, 1] = pert.entries
+            omegas[j] = philox.derive_seed(seed, t, 2)
+            fro[t] = float(np.linalg.norm(base.entries - pert.entries))
+        signs, sums = run_online_batch(alg, pairs[:k].reshape(2 * k, rows, n),
+                                       omegas[:k].reshape(2 * k))
+        signs = signs.reshape(k, 2, n)
+        d_h[start:start + k] = np.count_nonzero(signs[:, 0] != signs[:, 1], axis=1)
+        ok[start:start + k] = (np.max(np.abs(sums), axis=1) <= threshold).reshape(k, 2)
     qs = np.quantile(d_h, [0.0, 0.25, 0.5, 0.75, 1.0])
     quantiles = {f"q{int(q * 100):03d}": float(v)
                  for q, v in zip((0.0, 0.25, 0.5, 0.75, 1.0), qs)}
@@ -455,6 +467,6 @@ def stability_probe(alg, rho: float, trials: int, n: int, rows: int,
         fit_l, fit_f = np.polyfit(fro, d_h.astype(float), 1)
     return StabilityReport(rho=rho, trials=trials, n=n, rows=rows,
                            threshold=threshold, d_hamming=d_h, frobenius=fro,
-                           success_rate=float(np.mean(ok_a)),
-                           success_rate_perturbed=float(np.mean(ok_b)),
+                           success_rate=float(np.mean(ok[:, 0])),
+                           success_rate_perturbed=float(np.mean(ok[:, 1])),
                            quantiles=quantiles, fit_f=float(fit_f), fit_L=float(fit_l))

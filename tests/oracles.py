@@ -105,3 +105,14 @@ def naive_ogp_exists(base, fresh, angles, lo, hi, threshold, m):
         if ok:
             return True
     return False
+
+
+def potential_sign(lam, partial, column):
+    """One PotentialOnline decision as two separate log-sum-cosh values of
+    1-d arrays (the single-instance formula); ties go to +1."""
+    def log_sum_cosh(a):
+        m = float(np.max(np.abs(a)))
+        return m + float(np.log(np.sum(np.exp(a - m) + np.exp(-a - m)))) - math.log(2.0)
+    plus = log_sum_cosh(lam * (partial + column))
+    minus = log_sum_cosh(lam * (partial - column))
+    return 1 if plus <= minus else -1

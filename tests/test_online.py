@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disclab import (ContractViolationError, GreedyOnline, Instance,
+from disclab import (ALGORITHMS, ContractViolationError, GreedyOnline, Instance,
                      ParameterError, PotentialOnline, RandomSigningOnline,
-                     generate, generate_batch, make_algorithm, random_signing,
-                     resample_suffix, run_greedy_batch, run_online)
+                     generate, generate_batch, make_algorithm, philox, random_signing,
+                     resample_suffix, run_greedy_batch, run_online, run_online_batch)
+from oracles import potential_sign
 
 
 class ConstantPlus:
@@ -53,6 +56,23 @@ def test_potential_tie_and_m1_equivalence():
         inst = generate(1, 400, "gaussian", seed)
         assert np.array_equal(run_online(pot, inst).sigma,
                               run_online(GreedyOnline(), inst).sigma)
+
+
+def test_potential_batched_decisions_match_single_formula():
+    # the (2, B, M) evaluation must decide exactly as two 1-d log-sum-cosh calls
+    rng = np.random.default_rng(2024)
+    pot = PotentialOnline()
+    for m in (1, 2, 5, 16, 33):
+        for scale in (0.01, 1.0, 40.0):
+            b = 64
+            partial = np.round(rng.standard_normal((b, m)) * scale * 8, 1)
+            column = np.round(rng.standard_normal((b, m)) * scale, 1)
+            column[:4] = 0.0                          # exact ties, both ways
+            partial[4:8] = 0.0
+            lam = pot.start(m, [0] * b)
+            got = pot.step(lam, partial, column)
+            want = [potential_sign(lam, partial[i], column[i]) for i in range(b)]
+            assert np.array_equal(got, want), (m, scale)
 
 
 def test_potential_lambda_validation():
@@ -106,6 +126,99 @@ def test_contract_violation():
 
     with pytest.raises(ContractViolationError):
         run_online(Bad(), generate(2, 4, "gaussian", 1))
+
+
+class ReturnsAt:
+    """Returns +1 except ``value`` at step ``bad_step`` in batch row ``bad_row``."""
+
+    name = "returns-at"
+
+    def __init__(self, value, bad_step, bad_row=0):
+        self.value, self.bad_step, self.bad_row = value, bad_step, bad_row
+
+    def start(self, rows, omegas=(0,)):
+        return {"t": 0, "rows": len(omegas)}
+
+    def step(self, scratch, partial, column):
+        t = scratch["t"]
+        scratch["t"] = t + 1
+        out = [1] * scratch["rows"]
+        if t == self.bad_step:
+            out[self.bad_row] = self.value
+        return out
+
+
+@pytest.mark.parametrize("value", [1.5, 0, 2, -1.5, float("nan")])
+def test_contract_violation_names_step(value):
+    with pytest.raises(ContractViolationError, match=r"step 3\b"):
+        run_online(ReturnsAt(value, 3), generate(2, 8, "rademacher", 1))
+
+
+def test_contract_violation_one_row_of_batch():
+    entries = generate_batch(3, 10, "gaussian", np.arange(4))
+    with pytest.raises(ContractViolationError, match=r"step 6, batch row 2\b"):
+        run_online_batch(ReturnsAt(2, 6, bad_row=2), entries, np.arange(4))
+    signs, _ = run_online_batch(ReturnsAt(-1, 6, bad_row=2), entries, np.arange(4))
+    assert signs[2, 6] == -1 and np.count_nonzero(signs == -1) == 1
+
+
+def test_contract_violation_wrong_shape():
+    class TwoSigns:
+        name = "two"
+
+        def start(self, rows, omegas=(0,)):
+            return None
+
+        def step(self, scratch, partial, column):
+            return [1, 1]
+
+    with pytest.raises(ContractViolationError, match=r"step 0\b"):
+        run_online_batch(TwoSigns(), generate_batch(2, 5, "gaussian", np.arange(3)),
+                         np.arange(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 5), m=st.integers(1, 6), n=st.integers(1, 40),
+       disorder=st.sampled_from(["gaussian", "rademacher", "bernoulli"]),
+       alg=st.sampled_from(ALGORITHMS), seed=st.integers(0, 2**32))
+def test_batch_harness_equals_single_runs(b, m, n, disorder, alg, seed):
+    p = 0.4 if disorder == "bernoulli" else None
+    seeds = [philox.derive_seed(seed, i) for i in range(b)]
+    entries = generate_batch(m, n, disorder, seeds, p)        # float64 or int64
+    omegas = np.array([philox.derive_seed(seed, i, 1) for i in range(b)], dtype=np.uint64)
+    algorithm = make_algorithm(alg)
+    signs, sums = run_online_batch(algorithm, entries, omegas)
+    assert signs.dtype == np.int8 and signs.shape == (b, n)
+    assert sums.dtype == entries.dtype and sums.shape == (b, m)
+    for i in range(b):
+        inst = Instance(m, n, disorder, seeds[i], entries[i], p)
+        assert np.array_equal(run_online(algorithm, inst, omega=int(omegas[i])).sigma,
+                              signs[i])
+        assert np.array_equal(sums[i], entries[i] @ signs[i].astype(entries.dtype))
+
+
+@pytest.mark.parametrize("target", ["partial", "column"])
+def test_steps_see_read_only_inputs(target):
+    class Writer:
+        name = "writer"
+
+        def start(self, rows, omegas=(0,)):
+            return None
+
+        def step(self, scratch, partial, column):
+            (partial if target == "partial" else column)[...] = 0
+            return 1
+
+    entries = np.array(generate_batch(2, 6, "gaussian", np.arange(3)))   # writable
+    with pytest.raises(ValueError, match="read-only"):
+        run_online_batch(Writer(), entries, np.arange(3))
+
+
+def test_batch_harness_validation():
+    with pytest.raises(ParameterError):
+        run_online_batch(GreedyOnline(), np.zeros((3, 4)), [0, 0, 0])
+    with pytest.raises(ParameterError):
+        run_online_batch(GreedyOnline(), np.zeros((2, 3, 4)), [0])
 
 
 def test_greedy_batch_matches_scalar():

@@ -272,3 +272,63 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, disclab.cli; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_successive_calls_get_fresh_namespaces(capsys):
+    # the parser is built once per process; one call's flags must not leak
+    argv = ["sbp", "--rows", "2", "--cols", "6", "--seed", "3", "--kappa", "2.0"]
+    assert main(argv + ["--list"]) == 0
+    assert "solutions" in json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    assert "solutions" not in json.loads(capsys.readouterr().out)
+
+
+def _raw_header(rows, cols, **extra):
+    header = {"rows": rows, "cols": cols, "disorder": "gaussian", "seed": 1,
+              "body": "raw", **extra}
+    return json.dumps(header).encode("ascii") + b"\n"
+
+
+BAD_INSTANCE_FILES = {
+    "missing": None,
+    "one-byte": b"x",
+    "cut-header": _raw_header(2, 3)[:17],
+    "missing-keys": b'{"rows": 2, "cols": 3}\n1,2,3\n4,5,6\n',
+    "short-raw-body": _raw_header(2, 3) + b"\0" * 47,
+    "ragged-csv": (b'{"rows": 2, "cols": 3, "disorder": "rademacher", "seed": 1, '
+                   b'"body": "csv"}\n1,-1,1\n-1,1\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCE_FILES))
+def test_cli_malformed_instance_file_is_one_error_line(case, tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    if BAD_INSTANCE_FILES[case] is not None:
+        path.write_bytes(BAD_INSTANCE_FILES[case])
+    assert main(["disc", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_load_instance_raises_instance_format_error(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(BAD_INSTANCE_FILES["short-raw-body"])
+    with pytest.raises(disclab.InstanceFormatError):
+        disclab.load_instance(path)
+    path.write_bytes(_raw_header(2, 3) + b"\0" * 48)
+    assert disclab.load_instance(path).entries.shape == (2, 3)
+
+
+def test_experiment_rejects_unknown_config_keys(tmp_path, capsys):
+    with pytest.raises(ParameterError, match="bogus"):
+        ExperimentConfig.from_dict({"kind": "exact", "rows": 2, "cols": 6,
+                                    "seeds": [1], "bogus": 1})
+    with pytest.raises(ParameterError, match="rows, cols"):
+        ExperimentConfig.from_dict({"kind": "exact", "seeds": [1]})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "exact", "rows": 2, "cols": 6, "seeds": [1, 2],
+                               "bogus": 1}))
+    assert main(["experiment", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
