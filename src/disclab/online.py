@@ -232,7 +232,7 @@ def random_signing(inst: Instance, seed: int) -> np.ndarray:
     in one vectorized Philox call; sign-for-sign identical to feeding
     RandomSigningOnline through run_online with omega=seed.
     """
-    entries = inst.entries
+    entries = _work_entries(inst)          # the harness hashes these bytes too
     counters = np.array([_random_counter(t, entries[:, t]) for t in range(inst.cols)],
                         dtype=np.uint64)
     return philox.signs(seed, *counters.T).astype(np.int8)

@@ -245,6 +245,15 @@ def test_random_signing_matches_online_path():
         assert np.array_equal(fast, slow)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.float64])
+def test_random_signing_keys_on_working_dtype(dtype):
+    # both paths hash the column as the harness holds it (int64 or float64)
+    entries = generate(3, 40, "rademacher", 4).entries.astype(dtype)
+    inst = Instance(3, 40, "rademacher", 4, entries)
+    want = run_online(RandomSigningOnline(), inst, omega=9).sigma
+    assert np.array_equal(random_signing(inst, 9), want)
+
+
 def test_random_signing_determinism_and_seed_sensitivity():
     inst = generate(2, 100, "gaussian", 5)
     assert np.array_equal(random_signing(inst, 9), random_signing(inst, 9))

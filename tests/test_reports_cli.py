@@ -283,9 +283,8 @@ def test_cli_successive_calls_get_fresh_namespaces(capsys):
     assert "solutions" not in json.loads(capsys.readouterr().out)
 
 
-def _raw_header(rows, cols, **extra):
-    header = {"rows": rows, "cols": cols, "disorder": "gaussian", "seed": 1,
-              "body": "raw", **extra}
+def _raw_header(rows, cols):
+    header = {"rows": rows, "cols": cols, "disorder": "gaussian", "seed": 1, "body": "raw"}
     return json.dumps(header).encode("ascii") + b"\n"
 
 
