@@ -9,8 +9,8 @@ Step protocol.  ``run_online_batch`` runs B instances of one shape side by
 side and is the only loop that feeds columns; ``run_online`` is its case
 B = 1.  ``alg.start(rows, omegas)`` gets the row count M and one auxiliary
 seed per instance, and returns the scratch state.  At step t,
-``alg.step(scratch, partial_sums, column)`` gets the read-only (B, M)
-running sums and the (B, M) column t of every instance, and returns B
+``alg.step(scratch, partial_sums, column)`` gets read-only (B, M) views
+of the running sums and of column t of every instance, and returns B
 signs, or one scalar sign that broadcasts to all B.  Steps reduce over
 axis -1, so a (M,) call is the single-instance case.  The contract (every
 sign exactly -1 or +1) is checked once per run, not once per step: the
