@@ -11,6 +11,13 @@ reports of all three online algorithms on both disorders, and the
 stability probe at 8x256 with 37 trials, which spans more than one chunk
 of the probe's batch and ends in a ragged one.  They were recorded before
 the online step loop was batched.
+
+The remaining cases cover every other CLI output: the experiment
+``online`` kind with and without ``kappa``, a manifest whose one task
+errors, ``disc`` on gaussian, ``sbp --sigma``, ``gen`` with both bodies,
+the histogram CSV and every ``theory`` topic.  None of them reaches scipy
+quadrature.  They were recorded before the CLI and the sweeps shared one
+task per subcommand and before results were serialized by one walker.
 """
 
 import hashlib
@@ -86,7 +93,60 @@ for _alg in ("greedy", "potential", "random"):
             "cli", ["landscape", "stability", "--alg", _alg, "--rho", _rho, "--rows", "8",
                     "--cols", "256", "--trials", "37", "--threshold", "4.0", "--seed", "4"])
 
+CASES.update({
+    "experiment-online-potential": (
+        "experiment", {"kind": "online", "alg": "potential", "lam": 0.5, "rows": 8,
+                       "cols": 64, "disorder": "rademacher", "seeds": "0..2"}),
+    "experiment-online-kappa": (
+        "experiment", {"kind": "online", "alg": "greedy", "rows": 6, "cols": 40,
+                       "disorder": "gaussian", "kappa": 0.6, "seeds": "0..3"}),
+    "experiment-exact-error": (
+        "experiment", {"kind": "exact", "rows": 2, "cols": 40, "disorder": "gaussian",
+                       "seeds": [1]}),
+    "disc-gaussian-5x14": (
+        "cli", ["disc", "--rows", "5", "--cols", "14", "--seed", "3"]),
+    "sbp-sigma": (
+        "cli", ["sbp", "--rows", "3", "--cols", "8", "--seed", "2", "--kappa", "1.0",
+                "--sigma", "+-+--++-"]),
+    "gen-csv": (
+        "cli", ["gen", "--rows", "3", "--cols", "7", "--disorder", "bernoulli",
+                "--p", "0.3", "--seed", "4", "--body", "csv"]),
+    "gen-raw": (
+        "cli", ["gen", "--rows", "3", "--cols", "7", "--seed", "4", "--body", "raw"]),
+    "histogram-4x12": (
+        "cli", ["landscape", "histogram", "--rows", "4", "--cols", "12", "--seed", "3",
+                "--kappa", "1.0", "--bins", "9"]),
+    "theory-alpha-c": ("cli", ["theory", "alpha-c", "--kappa", "0.5"]),
+    "theory-psi-sbp": (
+        "cli", ["theory", "psi-sbp", "--delta", "0.04", "--m", "100", "--alpha", "0.04",
+                "--kappa", "0.1"]),
+    "theory-ogp-params": ("cli", ["theory", "ogp-params", "--C1", "1", "--c2", "0.5"]),
+    "theory-cov-eta-vec": (
+        "cli", ["theory", "cov", "--m", "3", "--beta", "0.9", "--eta", "0.02",
+                "--eta-vec", "0.01,0.02,0"]),
+    "theory-box-bound-mc": (
+        "cli", ["theory", "box-bound", "--m", "3", "--beta", "0.8", "--eta", "0.1",
+                "--K", "1", "--n", "4", "--samples", "20000", "--seed", "7"]),
+    "theory-be-bound-p": (
+        "cli", ["theory", "be-bound", "--length", "1.0", "--rows", "144", "--p", "0.3"]),
+    "theory-expected-count-prefix": (
+        "cli", ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2",
+                "--k", "12", "--kappa", "1.0"]),
+    "theory-expected-count-equidistant": (
+        "cli", ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "3",
+                "--hamming-delta", "6", "--K", "2.0"]),
+    "theory-stable-constants": (
+        "cli", ["theory", "stable-constants", "--eta", "0.4", "--L", "1", "--m", "2"]),
+})
+for _factor in ("m", "m-1"):
+    CASES[f"theory-psi-disc-{_factor}"] = (
+        "cli", ["theory", "psi-disc", "--m", "16", "--beta", "0.9583", "--eta", "0.0013",
+                "--c", "0.0625", "--n", "1024", "--rows", "256", "--K", "1",
+                "--entropy-factor", _factor])
+
 GOLDEN = {
+    "disc-gaussian-5x14":
+        "9f61bd16e3ca2b5108241bc0fa2992fb7f716cc8bb5d6e9a3df632c4aff1c666",
     "disc-rademacher-7x16":
         "566a636fb4d1ebad1b5cabb705ecf9ef3ff1deaa377ea316a05db2b02dddf72d",
     "exact-bernoulli-4x16":
@@ -97,6 +157,18 @@ GOLDEN = {
         "367bc35ce1c9530631324ec25a542bb7d343bd1f120acfde21cac77fd263c2df",
     "exact-rademacher-8x17":
         "5b065652780746daf5803699bd98d77b5bc8b47b08b45bd510fcd7619c03a8da",
+    "experiment-exact-error":
+        "ab8652a7898f936fa08c4395ca0cebbb77b0adc730d84fa0264f5ab07911fa33",
+    "experiment-online-kappa":
+        "fc05473ee90aa6979bbbd4b42af3f74811229f677339b4245496105e07a6d7ea",
+    "experiment-online-potential":
+        "1d7d9b4b99e3a827de50ca1e33bec917eaa3d5f1090443669a61ebcbd659c8b7",
+    "gen-csv":
+        "dc611547a40a8273fb3babf5a1d94b32688e818ebf2ea58a233bcdadfda7187c",
+    "gen-raw":
+        "38eccce6feef4f8581d21c619decee08e808da5292bade76e64a60b55d0362dc",
+    "histogram-4x12":
+        "f8d3b4c436e358c3b7470b8479acdc0959fc01359923e621b29bebaabab64342",
     "ogp-pair":
         "7b9cb6c2fd4d0adfe87ab1653809cc6bf527ac5778cf88de582a2cfbbdff6544",
     "ogp-triple":
@@ -117,6 +189,8 @@ GOLDEN = {
         "50c912a8e83171d575bba572ae50b4e444f37f885c4a0c2e021f63b6fba517d2",
     "sbp-list-3x12":
         "604f1e926f4d2947887824d3ed5760df69863f5608feb9a5fa65ffa2b326ff65",
+    "sbp-sigma":
+        "a886f8b9f244d90110e5d374d19005db37312fa5d4ae9036631d8f35b7bfdbc0",
     "stability-greedy-0.5":
         "af6e5f6a022c2908df47f836e65396ba4770e1dec0b96e378bbb92b54efefeae",
     "stability-greedy-0.999":
@@ -129,6 +203,28 @@ GOLDEN = {
         "233ac390ab98298dcd0e6f711fe2e8ec5a44ec25614121527402d50cb8b3d225",
     "stability-random-0.999":
         "71975fd871798dcce219565e9d14af276e6801d67b93b816842a20dd3d990402",
+    "theory-alpha-c":
+        "71ef63bbd80c2d3daf008a4a577a3f1f9065db069759696515db0a9ab9ca8a44",
+    "theory-be-bound-p":
+        "cd02779ff43e17633e17c67adb6de97a6a43b6e417d61e6bf37c17c55dfc16f4",
+    "theory-box-bound-mc":
+        "b9c50cd90dadfbc2a86cce59dbcc483a475001570a5ae773b6b70812d56944d0",
+    "theory-cov-eta-vec":
+        "8695cb3532b0103538e0e72e65caf5c8efd67614308fd5096612a5820ca695d1",
+    "theory-expected-count-equidistant":
+        "dcec5a1bcbd16ba624de8f14a6d67d54fc09c01b33183820b5390fd307a0e198",
+    "theory-expected-count-prefix":
+        "0393ae302472ca085d96915bede4dd51a2ccec2c50996545610266edde393b3f",
+    "theory-ogp-params":
+        "d12ad537721f6354609ed54b280279bbf66d4fe43d8dc76f1d2bdac7b67c5881",
+    "theory-psi-disc-m":
+        "7faca5e6be15e0808ebff116d2dfc6f8d88b7119858e5931f9e762e147c25a3c",
+    "theory-psi-disc-m-1":
+        "4c0f8e7b6588690709b618cbf704d082b45ecc773a60ed33a6cdf04b1bd4527b",
+    "theory-psi-sbp":
+        "3661f61efd6c9e9dbe8387dd5f6b2a6bf095658ff2614813010cce33df55c6c1",
+    "theory-stable-constants":
+        "2a42a8dce160beda3c18ec96ff51bc99179f6bffe2d9a28cfcb7929445ae6ed6",
     "xi-disc-exhaust":
         "4ffa708954cf07d7662ecb0336febf6e62bc3c99754167cb4c7a27e11d3d45a4",
     "xi-disc-found":
