@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .discrepancy import enumerate_solutions, exact_discrepancy
+from .discrepancy import enumerate_solutions, exact_discrepancy, sign_string
 from .errors import ParameterError
 from .instances import DISORDERS, generate
 from .online import ALGORITHMS, make_algorithm, run_online
@@ -27,15 +27,22 @@ from .reports import emit_report, render_json, to_payload
 KINDS = ("online", "exact", "sbp-count")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_seed_range(spec) -> list[int]:
-    """Accept [a, b, ...] lists or an inclusive "A..B" string."""
+    """Accept [a, b, ...] lists of integers or an inclusive "A..B" string."""
     if isinstance(spec, str):
-        lo, sep, hi = spec.partition("..")
-        if not sep:
-            raise ParameterError(f"seed range must look like 'A..B', got {spec!r}")
-        lo, hi = int(lo), int(hi)
-        return list(range(lo, hi + 1))
-    return [int(s) for s in spec]
+        lo, _, hi = spec.partition("..")
+        try:
+            return list(range(int(lo), int(hi) + 1))
+        except ValueError:
+            raise ParameterError(f"seed range must look like 'A..B', got {spec!r}") from None
+    if isinstance(spec, (list, tuple)) and all(_is_int(s) for s in spec):
+        return list(spec)
+    raise ParameterError(f"seeds must be an 'A..B' string or a list of integers, "
+                         f"got {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,16 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for name in ("rows", "cols", "max_n", "p", "lam", "kappa"):
+            value = getattr(self, name)
+            if value is None and name not in ("rows", "cols"):
+                continue
+            if name in ("rows", "cols", "max_n") and not _is_int(value):
+                raise ParameterError(f"experiment {name} must be an integer, got {value!r}")
+            if not (_is_int(value) or isinstance(value, float)):
+                raise ParameterError(f"experiment {name} must be a number, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ParameterError(f"experiment out_dir must be a string, got {self.out_dir!r}")
         if self.kind not in KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}, expected {KINDS}")
         if self.rows < 1 or self.cols < 1:
@@ -71,6 +88,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ParameterError(f"experiment config must be a JSON object, "
+                                 f"got {type(raw).__name__}")
         raw = dict(raw)
         seeds = tuple(parse_seed_range(raw.pop("seeds", [])))
         unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
@@ -98,22 +118,31 @@ class ExperimentConfig:
         return out
 
 
-def _task_result(config: ExperimentConfig, seed: int):
-    inst = generate(config.rows, config.cols, config.disorder, seed, config.p)
-    if config.kind == "online":
-        alg = make_algorithm(config.alg, config.lam)
-        res = run_online(alg, inst, omega=seed)
-        payload = {"seed": seed, "alg": config.alg}
-        payload.update(to_payload(res))
-        if config.kappa is not None:
-            payload["satisfies"] = bool(res.value <= config.kappa * math.sqrt(config.cols))
-        return payload
-    if config.kind == "exact":
-        res = exact_discrepancy(inst, max_n=config.max_n or 30)
-        return {"seed": seed, **to_payload(res)}
-    # sbp-count
-    sols = enumerate_solutions(inst, config.kappa, max_n=config.max_n or 26)
-    return {"seed": seed, "kappa": config.kappa, "count": int(sols.shape[0])}
+# The per-instance payloads of ``disclab online``, ``disc`` and ``sbp``, which
+# are also the sweep kinds online, exact and sbp-count.  ``params`` is the
+# parsed arguments or an ExperimentConfig; both name alg, lam, kappa, max_n.
+# The online algorithm's auxiliary seed is the instance's seed.
+
+def online_payload(params, inst) -> dict:
+    res = run_online(make_algorithm(params.alg, params.lam), inst, omega=inst.seed)
+    return {"alg": params.alg, **to_payload(res)}
+
+
+def exact_payload(params, inst) -> dict:
+    return to_payload(exact_discrepancy(inst, max_n=params.max_n))
+
+
+def count_payload(params, inst, listed: bool = False) -> dict:
+    """The solution count at ``params.kappa``, and the solutions when
+    ``listed`` (``sbp --list``)."""
+    sols = enumerate_solutions(inst, params.kappa, max_n=params.max_n)
+    payload = {"kappa": params.kappa, "count": int(sols.shape[0])}
+    if listed:
+        payload["solutions"] = [sign_string(s) for s in sols]
+    return payload
+
+
+_PAYLOADS = {"online": online_payload, "exact": exact_payload, "sbp-count": count_payload}
 
 
 def _sha256(path: str) -> str:
@@ -138,7 +167,11 @@ def run_experiment(config, out_dir: Optional[str] = None) -> dict:
         name = f"{config.kind}_{seed}.json"
         path = os.path.join(target, name)
         try:
-            payload = _task_result(config, seed)
+            inst = generate(config.rows, config.cols, config.disorder, seed, config.p)
+            payload = {"seed": seed, **_PAYLOADS[config.kind](config, inst)}
+            if config.kind == "online" and config.kappa is not None:
+                threshold = config.kappa * math.sqrt(config.cols)
+                payload["satisfies"] = bool(payload["value"] <= threshold)
             emit_report(payload, "json", path)
             tasks.append({"seed": seed, "status": "ok", "file": name,
                           "sha256": _sha256(path)})
@@ -152,5 +185,11 @@ def run_experiment(config, out_dir: Optional[str] = None) -> dict:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+    """Read a JSON sweep config; any defect raises ParameterError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:       # missing, unreadable or not JSON
+        raise ParameterError(f"cannot read experiment config {path}: "
+                             f"{getattr(exc, 'strerror', None) or exc}") from None
+    return ExperimentConfig.from_dict(raw)

@@ -17,14 +17,14 @@ in this order (prefix first, then member suffixes / members in turn).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import philox
-from .discrepancy import (codes_from_signs, disc_value, enumerate_below, max_abs_rows,
-                          signs_from_codes)
+from .discrepancy import (aligned_empty, codes_from_signs, disc_value, enumerate_below,
+                          max_abs_rows, signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
 from .instances import Instance, generate, interpolate
 from .online import run_online_batch
@@ -51,21 +51,6 @@ _PROBE_ENTRIES = 1 << 17
 class Histogram:
     bin_edges: np.ndarray       # length bins+1, spanning [-1, 1]
     counts: np.ndarray          # length bins
-
-
-def pairwise_overlaps(solutions: np.ndarray) -> np.ndarray:
-    """Normalized overlaps 1 - 2 d_H / n for all unordered pairs."""
-    sols = np.asarray(solutions, dtype=np.int32)
-    s, n = sols.shape
-    out = []
-    for start in range(0, s, 2048):
-        block = sols[start:start + 2048]
-        gram = block @ sols.T                     # integer inner products
-        d = (n - gram) // 2
-        for i in range(block.shape[0]):
-            row = d[i, start + i + 1:]
-            out.append(1.0 - 2.0 * row / n)
-    return np.concatenate(out) if out else np.empty(0)
 
 
 def _distance_counts(solutions: np.ndarray) -> np.ndarray:
@@ -117,9 +102,12 @@ class TupleCertificate:
     """Witness that a searched tuple set is non-empty.
 
     ``overlaps`` lists the pairs (1,2), (1,3), ..., (m-1,m) row-major;
-    each equals 1 - 2 d_H / n for the corresponding member pair.
+    each equals 1 - 2 d_H / n for the corresponding member pair.  ``found``
+    is always True; it tells a certificate from the ``{"found": false}``
+    of a search that returns None.
     """
 
+    found: bool = field(default=True, init=False)
     members: np.ndarray          # (m, n) int8 sign vectors
     overlaps: np.ndarray         # (m(m-1)/2,)
     disc_values: np.ndarray      # per-member ||M_i sigma_i||_inf
@@ -170,8 +158,15 @@ def verify_certificate(cert: TupleCertificate, instances: Sequence[Instance],
 # Shared-prefix searches (suffix-resampled ensembles)
 # ---------------------------------------------------------------------------
 
-def _check_shared_prefix(members: Sequence[Instance], k: int) -> None:
+def _check_shared_prefix(members: Sequence[Instance], k: int, max_n: Optional[int]):
     n = members[0].cols
+    max_n = XI_MAX_N if max_n is None else max_n
+    if n > max_n:
+        raise CapacityError(f"tuple search for n={n} exceeds max_n={max_n}")
+    if len(members) < 2:
+        raise ParameterError("need at least 2 ensemble members")
+    if not 1 <= k <= n:
+        raise ParameterError(f"need 1 <= k <= n, got k={k}")
     for mem in members[1:]:
         if mem.shape != members[0].shape or mem.disorder != members[0].disorder:
             raise ParameterError("ensemble members must share shape and disorder")
@@ -198,8 +193,8 @@ def _search_shared_prefix(members: Sequence[Instance], k: int,
                    for w in work]                                 # (M, 2^k) each
     n_prefixes = 1 << n_pref
     chunk = min(n_prefixes, max(1, _SEARCH_ENTRIES // ((1 << k) * m_rows)))
-    buf = np.empty((m_rows, chunk, 1 << k), dtype=dtype)
-    vals = np.empty((chunk, 1 << k), dtype=dtype)
+    buf = aligned_empty((m_rows, chunk, 1 << k), dtype)
+    vals = aligned_empty((chunk, 1 << k), dtype)
     prefix_cols = work[0][:, :n_pref]
     for start in range(0, n_prefixes, chunk):
         codes = np.arange(start, min(start + chunk, n_prefixes), dtype=np.uint64)
@@ -236,9 +231,10 @@ def _prefix_certificate(members: Sequence[Instance], k: int, threshold: float,
 
 
 def search_xi_sbp(members: Sequence[Instance], k: int, kappa: float,
-                  max_n: int = XI_MAX_N) -> Optional[TupleCertificate]:
+                  max_n: Optional[int] = None) -> Optional[TupleCertificate]:
     """First m-tuple of perceptron solutions agreeing on the shared prefix
-    of a suffix-resampled gaussian ensemble, or None.
+    of a suffix-resampled gaussian ensemble, or None.  ``n`` may be at most
+    ``max_n`` (None: ``XI_MAX_N``).
 
     Exhausts the 2^(n-k) common prefixes crossed with per-member suffix
     completions; threshold kappa * sqrt(n), inclusive.
@@ -247,36 +243,23 @@ def search_xi_sbp(members: Sequence[Instance], k: int, kappa: float,
         raise UnsupportedDisorderError("perceptron tuple search needs gaussian disorder")
     if not kappa > 0:
         raise ParameterError(f"kappa must be positive, got {kappa}")
-    n = members[0].cols
-    if n > max_n:
-        raise CapacityError(f"tuple search for n={n} exceeds max_n={max_n}")
-    if len(members) < 2:
-        raise ParameterError("need at least 2 ensemble members")
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}")
-    _check_shared_prefix(members, k)
-    threshold = kappa * math.sqrt(n)
+    _check_shared_prefix(members, k, max_n)
+    threshold = kappa * math.sqrt(members[0].cols)
     hit = _search_shared_prefix(members, k, threshold)
     return None if hit is None else _prefix_certificate(members, k, threshold, hit)
 
 
 def search_xi_disc(members: Sequence[Instance], k: int, c_u: float,
-                   max_n: int = XI_MAX_N) -> Optional[TupleCertificate]:
+                   max_n: Optional[int] = None) -> Optional[TupleCertificate]:
     """Shared-prefix tuple search at discrepancy threshold c_u * sqrt(M)
     for integer (rademacher / bernoulli) disorder; comparisons are exact
-    integer arithmetic against the float threshold."""
+    integer arithmetic against the float threshold.  ``max_n`` is as in
+    ``search_xi_sbp``."""
     if members[0].disorder not in _INTEGER_DISORDERS:
         raise UnsupportedDisorderError("discrepancy tuple search needs integer disorder")
     if not c_u > 0:
         raise ParameterError(f"c_u must be positive, got {c_u}")
-    n = members[0].cols
-    if n > max_n:
-        raise CapacityError(f"tuple search for n={n} exceeds max_n={max_n}")
-    if len(members) < 2:
-        raise ParameterError("need at least 2 ensemble members")
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}")
-    _check_shared_prefix(members, k)
+    _check_shared_prefix(members, k, max_n)
     threshold = c_u * math.sqrt(members[0].rows)
     hit = _search_shared_prefix(members, k, threshold)
     return None if hit is None else _prefix_certificate(members, k, threshold, hit)
@@ -410,13 +393,13 @@ class StabilityReport:
     n: int
     rows: int
     threshold: float
-    d_hamming: np.ndarray          # per-trial output distance
-    frobenius: np.ndarray          # per-trial ||M - Mbar||_F
     success_rate: float            # P[disc <= threshold] on the base instance
     success_rate_perturbed: float
     quantiles: dict[str, float]    # d_H quantiles at 0, .25, .5, .75, 1
     fit_f: float                   # least-squares d_H ~ fit_f + fit_L * frobenius
     fit_L: float
+    d_hamming: np.ndarray          # per-trial output distance
+    frobenius: np.ndarray          # per-trial ||M - Mbar||_F
 
 
 def stability_probe(alg, rho: float, trials: int, n: int, rows: int,

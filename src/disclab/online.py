@@ -51,9 +51,9 @@ _PLUS_MINUS = np.array([-1, 1])
 
 @dataclass(frozen=True)
 class OnlineResult:
+    value: Union[int, float]        # max_i |row_sums_i|
     sigma: np.ndarray               # chosen signs, int8
     row_sums: np.ndarray            # final M * sigma
-    value: Union[int, float]        # max_i |row_sums_i|
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:

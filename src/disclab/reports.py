@@ -15,12 +15,9 @@ from typing import Any
 
 import numpy as np
 
-from .discrepancy import DiscrepancyResult, sign_string
+from .discrepancy import sign_string
 from .errors import ParameterError
-from .landscape import Histogram, StabilityReport, TupleCertificate
-from .online import OnlineResult
-from .theory import (CovarianceReport, ExponentReport, McEstimate, OgpParams,
-                     StableConstants, TupleCountEstimate)
+from .landscape import Histogram
 
 
 def _render_float(x: float) -> str:
@@ -72,50 +69,29 @@ def _listify(arr) -> list:
 
 
 def to_payload(result: Any) -> Any:
-    """Convert a result object into JSON-ready primitives."""
-    if isinstance(result, DiscrepancyResult):
-        return {"value": result.value, "argmin": sign_string(result.argmin),
-                "row_sums": _listify(result.row_sums)}
-    if isinstance(result, OnlineResult):
-        return {"value": result.value, "sigma": sign_string(result.sigma),
-                "row_sums": _listify(result.row_sums)}
-    if isinstance(result, ExponentReport):
-        return {"value": result.value, "terms": dict(result.terms),
-                "params": dict(result.params), "verdict": result.verdict,
-                "scale": result.scale}
-    if isinstance(result, TupleCertificate):
-        return {"found": True,
-                "members": [sign_string(row) for row in result.members],
-                "overlaps": _listify(result.overlaps),
-                "disc_values": _listify(result.disc_values),
-                "tau_or_delta": dict(result.tau_or_delta),
-                "threshold": result.threshold}
-    if isinstance(result, Histogram):
-        return {"bin_edges": _listify(result.bin_edges),
-                "counts": _listify(result.counts)}
-    if isinstance(result, StabilityReport):
-        return {"rho": result.rho, "trials": result.trials, "n": result.n,
-                "rows": result.rows, "threshold": result.threshold,
-                "success_rate": result.success_rate,
-                "success_rate_perturbed": result.success_rate_perturbed,
-                "quantiles": dict(result.quantiles),
-                "fit_f": result.fit_f, "fit_L": result.fit_L,
-                "d_hamming": _listify(result.d_hamming),
-                "frobenius": _listify(result.frobenius)}
-    if isinstance(result, CovarianceReport):
-        return {"pd": result.pd, "det": result.det,
-                "det_lower_bound": result.det_lower_bound,
-                "eigenvalues": _listify(result.eigenvalues)}
-    if isinstance(result, (McEstimate, OgpParams, StableConstants, TupleCountEstimate)):
-        return dataclasses.asdict(result)
+    """Convert a result object into JSON-ready primitives.
+
+    A dataclass becomes a dict of its fields in declaration order, each
+    converted by the same rules: int8 arrays are sign vectors and become
+    sign strings (one per row when 2-d), other arrays become flat lists,
+    dicts are copied and numpy scalars become Python scalars.
+    """
+    if dataclasses.is_dataclass(result) and not isinstance(result, type):
+        return {f.name: to_payload(getattr(result, f.name))
+                for f in dataclasses.fields(result)}
+    if isinstance(result, np.ndarray):
+        if result.dtype == np.int8:
+            return ([sign_string(row) for row in result] if result.ndim == 2
+                    else sign_string(result))
+        return _listify(result)
     if isinstance(result, dict):
-        return result
+        return dict(result)
     if isinstance(result, (list, tuple)):
         return [to_payload(v) for v in result]
+    if isinstance(result, np.generic):
+        return result.item()
     if isinstance(result, (str, int, float, bool)) or result is None:
         return result
-    if isinstance(result, (np.integer, np.floating, np.ndarray)):
-        return _listify(result) if isinstance(result, np.ndarray) else result.item()
     raise ParameterError(f"no serialization for {type(result)!r}")
 
 
@@ -153,11 +129,7 @@ def emit_report(result: Any, fmt: str = "json", path=None) -> str:
         elif isinstance(result, list) and all(isinstance(r, dict) for r in result):
             text = _rows_csv(result)
         else:
-            payload = to_payload(result)
-            if not isinstance(payload, dict):
-                raise ParameterError("csv output needs a histogram, row list, or flat result")
-            text = _rows_csv([{k: v for k, v in payload.items()
-                               if not isinstance(v, (dict, list))}])
+            raise ParameterError("csv output needs a histogram or a list of row dicts")
     else:
         text = render_json(to_payload(result)) + "\n"
     if path is not None:

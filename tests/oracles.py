@@ -30,6 +30,21 @@ def all_sign_vectors(n, dtype=np.float64):
     return (1 - 2 * bits.astype(np.int64)).astype(dtype)
 
 
+def pairwise_overlaps(solutions):
+    """Normalized overlaps 1 - 2 d_H / n for all unordered pairs, in row order."""
+    sols = np.asarray(solutions, dtype=np.int32)
+    s, n = sols.shape
+    out = []
+    for start in range(0, s, 2048):
+        block = sols[start:start + 2048]
+        gram = block @ sols.T                     # integer inner products
+        d = (n - gram) // 2
+        for i in range(block.shape[0]):
+            row = d[i, start + i + 1:]
+            out.append(1.0 - 2.0 * row / n)
+    return np.concatenate(out) if out else np.empty(0)
+
+
 def naive_exact_value(entries):
     """Minimum of the max-norm over all 2^n sign vectors, full recompute."""
     entries = np.asarray(entries)

@@ -9,7 +9,7 @@ from disclab import (CapacityError, Instance, ParameterError,
                      UnsupportedDisorderError, disc_value, enumerate_below,
                      enumerate_solutions, exact_discrepancy, generate,
                      parse_sign_string, sbp_membership, sign_string)
-from disclab.discrepancy import codes_from_signs, signs_from_codes
+from disclab.discrepancy import aligned_empty, codes_from_signs, signs_from_codes
 from oracles import (gray_first_minimizer, naive_disc_value, naive_exact_value,
                      naive_solution_set)
 
@@ -237,3 +237,13 @@ def test_sign_code_conventions():
     assert [sign_string(s) for s in lex] == sorted(sign_string(s) for s in lex)
     with pytest.raises(ParameterError):
         signs_from_codes([0], 3, "colex")
+
+
+@pytest.mark.parametrize("shape, dtype", [((8, 4096), np.float64), ((3, 5, 7), np.int64),
+                                          (4096, np.float64), ((1,), np.int64)])
+def test_aligned_empty_starts_on_a_cache_line(shape, dtype):
+    for _ in range(8):                 # several heap states
+        a = aligned_empty(shape, dtype)
+        assert a.ctypes.data % 64 == 0
+        assert a.shape == np.empty(shape).shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable

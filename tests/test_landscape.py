@@ -10,9 +10,8 @@ from disclab import (CapacityError, GreedyOnline, OgpWindow, ParameterError,
                      stability_probe, verify_certificate)
 from disclab import landscape
 from disclab.cli import main
-from disclab.landscape import pairwise_overlaps
 from disclab.philox import derive_seed
-from oracles import naive_ogp_exists, naive_xi_exists
+from oracles import naive_ogp_exists, naive_xi_exists, pairwise_overlaps
 
 
 # -- histograms ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from disclab import (ParameterError, exact_discrepancy, generate,
                      overlap_histogram, psi_sbp, enumerate_solutions)
 import disclab
-from disclab.cli import main
+from disclab.cli import build_parser, main
 from disclab.experiment import ExperimentConfig, parse_seed_range, run_experiment
 from disclab.reports import emit_report, histogram_csv, render_json, to_payload
 
@@ -331,3 +332,69 @@ def test_experiment_rejects_unknown_config_keys(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, disorder, bound", [
+    ("xi-sbp", "gaussian", ["--kappa", "1.0"]),
+    ("xi-disc", "rademacher", ["--cu", "1.0"])])
+def test_cli_xi_default_seed_and_instance_file(mode, disorder, bound, tmp_path, capsys):
+    shape = ["--rows", "4", "--cols", "12", "--disorder", disorder]
+    search = ["landscape", mode, "--k", "4", *bound]
+    assert main(search + shape + ["--seed", "0"]) == 0
+    want = capsys.readouterr().out
+    assert json.loads(want)["found"] is True
+    assert main(search + shape) == 0                # --seed defaults to 0
+    assert capsys.readouterr().out == want
+    path = tmp_path / "inst.txt"
+    assert main(["gen", *shape, "--seed", "0", "--out", str(path)]) == 0
+    assert main(search + ["--in", str(path)]) == 0
+    assert capsys.readouterr().out == want
+
+
+_GOOD_CONFIG = {"kind": "exact", "rows": 2, "cols": 6, "seeds": [1, 2]}
+BAD_CONFIGS = {
+    "missing": None,
+    "not-json": "{",
+    "list": "[1, 2]",
+    "rows-string": json.dumps({**_GOOD_CONFIG, "rows": "3"}),
+    "rows-float": json.dumps({**_GOOD_CONFIG, "rows": 3.5}),
+    "seeds-int": json.dumps({**_GOOD_CONFIG, "seeds": 5}),
+    "seeds-not-a-range": json.dumps({**_GOOD_CONFIG, "seeds": "a..b"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_cli_bad_experiment_config_is_one_error_line(case, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if BAD_CONFIGS[case] is not None:
+        cfg.write_text(BAD_CONFIGS[case])
+    assert main(["experiment", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_cov_eta_vec_must_be_numbers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "cov", "--m", "3", "--beta", "0.9", "--eta", "0.1",
+              "--eta-vec", "0.1,x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("disclab theory cov: error: argument --eta-vec")
+
+
+def _readme_cli_examples() -> list:
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("## CLI examples", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("disclab ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert len(examples) >= 19          # one per leaf subcommand
+    for argv in examples:
+        args = build_parser().parse_args(argv)
+        assert callable(args.task), argv
