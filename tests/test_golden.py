@@ -18,6 +18,13 @@ errors, ``disc`` on gaussian, ``sbp --sigma``, ``gen`` with both bodies,
 the histogram CSV and every ``theory`` topic.  None of them reaches scipy
 quadrature.  They were recorded before the CLI and the sweeps shared one
 task per subcommand and before results were serialized by one walker.
+
+The ``exact-gaussian-*``, ``sbp-count-gaussian-4x22`` and ``xi-sbp-4x19-*``
+cases pin gaussian scans at the benchmark's shapes: exact minima at 8x21
+and 8x22, a solution count at 4x22 with kappa 0.25, and shared-prefix
+searches at 4x19 that find a certificate (kappa 1) or exhaust the space
+(kappa 0.01).  They were recorded while the cube scan still ran in
+float64 and int64, before it moved to the narrowest exact scan dtype.
 """
 
 import hashlib
@@ -138,6 +145,23 @@ CASES.update({
     "theory-stable-constants": (
         "cli", ["theory", "stable-constants", "--eta", "0.4", "--L", "1", "--m", "2"]),
 })
+CASES.update({
+    "exact-gaussian-8x21": (
+        "experiment", {"kind": "exact", "rows": 8, "cols": 21, "disorder": "gaussian",
+                       "seeds": [31, 32]}),
+    "exact-gaussian-8x22": (
+        "experiment", {"kind": "exact", "rows": 8, "cols": 22, "disorder": "gaussian",
+                       "seeds": [41, 42]}),
+    "sbp-count-gaussian-4x22": (
+        "experiment", {"kind": "sbp-count", "rows": 4, "cols": 22, "disorder": "gaussian",
+                       "kappa": 0.25, "seeds": [51, 52]}),
+    "xi-sbp-4x19-found": (
+        "cli", ["landscape", "xi-sbp", "--rows", "4", "--cols", "19", "--seed", "61",
+                "--k", "4", "--m", "2", "--kappa", "1.0"]),
+    "xi-sbp-4x19-exhaust": (
+        "cli", ["landscape", "xi-sbp", "--rows", "4", "--cols", "19", "--seed", "62",
+                "--k", "4", "--m", "2", "--kappa", "0.01"]),
+})
 for _factor in ("m", "m-1"):
     CASES[f"theory-psi-disc-{_factor}"] = (
         "cli", ["theory", "psi-disc", "--m", "16", "--beta", "0.9583", "--eta", "0.0013",
@@ -153,6 +177,10 @@ GOLDEN = {
         "3a6ca2ce4bfac953630c46334d57400c2c263eb5add968a5825faf9b1ac3f031",
     "exact-bernoulli-5x14":
         "2b24f424241344493cce8d7f82f4181613d8798e6c3420a920dfab8f541eb31c",
+    "exact-gaussian-8x21":
+        "86a4a8a0aef1cd6bd48ac7bc47fd7098acdaaba6d8f3b7c020117ff899e3d31f",
+    "exact-gaussian-8x22":
+        "89c9374f46db13d61a3215bffbfa27c997fbac91cad19a37e68f70b2e98ba691",
     "exact-rademacher-6x15":
         "367bc35ce1c9530631324ec25a542bb7d343bd1f120acfde21cac77fd263c2df",
     "exact-rademacher-8x17":
@@ -187,6 +215,8 @@ GOLDEN = {
         "0bb59ec70c5ee8c29e0a81361f6281faec16b5677fa4708b22d744ea5fd7c16b",
     "sbp-count-4x16":
         "50c912a8e83171d575bba572ae50b4e444f37f885c4a0c2e021f63b6fba517d2",
+    "sbp-count-gaussian-4x22":
+        "565cf75e457c511ffddc3993cac5c908e82add4baf859d5529e5ac98b08c104e",
     "sbp-list-3x12":
         "604f1e926f4d2947887824d3ed5760df69863f5608feb9a5fa65ffa2b326ff65",
     "sbp-sigma":
@@ -231,6 +261,10 @@ GOLDEN = {
         "f90741120517d25c0f69ccdb5cc4c9895d238e017351d480d0962b20f9697353",
     "xi-disc-m3":
         "9ebbb241f95b8a470cdb1360b8deaa61f300f216bf545cb0466f5dfb1ebea86e",
+    "xi-sbp-4x19-exhaust":
+        "4ffa708954cf07d7662ecb0336febf6e62bc3c99754167cb4c7a27e11d3d45a4",
+    "xi-sbp-4x19-found":
+        "d7442af68fe78da49c1068d2747c3f323ccbf9dc5c66d1ddb32434a61a9222db",
     "xi-sbp-found":
         "0a46ed2f9df1bcb3394e32bb96ecf4970a391aa398a98b0ab4db66a7536e664b",
     "xi-sbp-tight":
