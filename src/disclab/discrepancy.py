@@ -24,15 +24,60 @@ sums to every column of its table in one preallocated (M, 2^q) buffer and
 reduces max |.| over the M rows (``max_abs_rows``), giving the 2^q
 candidates' norms in walk order.
 
-Gaussian row sums accumulate rounding along the walk, so every reported
-value and row-sum vector is recomputed by ``disc_value`` from the
-witness, and candidates whose scanned norm lies within a rounding bound
-of a decision (the running minimum, or an enumeration threshold) are
-decided on that direct product.  Integer disorders scan exactly.
+Scan dtype (``scan_precision``).  Let S = max_i sum_j |M_ij|; every row
+sum, prefix or suffix sum of a candidate is at most S in absolute value,
+and a table entry at most 2S.  Integer entries are scanned in the
+narrowest of int8, int16 and int32 that holds 3S, else in int64, so the
+scan is exact; values are reported in int64.  Float entries are scanned
+in float32 (float64 if 3S overflows it).  The tables are built in the
+wide dtype (int64 or float64) and cast once; the high-bit running sums
+stay wide and are cast once per block, so their drift grows by one wide
+rounding per block, not by one narrow rounding.
+
+Re-decision.  Every reported value and row-sum vector is ``disc_value``
+of the witness, and a candidate whose scanned norm lies within the
+scan's slack of a decision (the running minimum, or an enumeration
+threshold) is decided on that direct product.  Integer scans have slack
+0.  For floats, let u be the scan dtype's unit roundoff (eps/2), w that
+of float64, and t the scan dtype's smallest subnormal, which bounds the
+absolute error of a rounding in the subnormal range.  Against the exact
+row sum, the wide running sum errs by at most (steps + n) w S (n - 1
+additions for the start, one per block), the wide table entry by
+2q w S, and the direct product ``disc_value`` by n w S.  The two casts
+and the narrow addition add at most u S + 2u S + u S.  |.| and max over
+rows are 1-Lipschitz, so
+
+    |scanned norm - disc_value norm| <= (4u + (steps + 4n) w) S + (steps + 4n + 4) t,
+
+up to second-order terms, which the slack 2 * (right-hand side) absorbs
+with room for the float64 rounding of ``best + slack`` and
+``threshold +- slack``.  The shared-prefix searches take steps = 0:
+their prefix and suffix sums are products of n - k and k terms.
+
+The decisions that use the slack s: the exact solver skips a block whose
+least scanned norm exceeds best + s (every direct norm there exceeds
+best), and otherwise re-decides every candidate whose scanned norm is at
+most best + s and at most the block's least + 2s (any other has a direct
+norm above best or above the least candidate's), keeping the first strict
+improvement in walk order.  Enumerations and searches take a candidate
+scanned at most threshold + s, accept it when scanned below threshold - s
+and re-decide it otherwise.
+
+Those bounds are Python floats, and under NumPy 2 (NEP 50) comparing a
+float32 array with a Python float rounds the float to float32 first.
+Rounding to nearest is monotone, so for float32 v and real x:
+``v <= x`` implies ``v <= fl(x)`` (a filter written ``v <= x`` loses no
+candidate), and ``v < fl(x)`` implies ``v <= x`` (an acceptance written
+``v < x`` accepts no candidate beyond x).  Every candidate filter is
+therefore written with ``<=`` and every acceptance without re-decision
+with ``<``; the slack never has to absorb the rounding of the bound
+itself.  Bounds beyond the scan dtype's range are clamped to it
+(``scan_bounds``), and an integer scan compares with floor(x).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -157,8 +202,38 @@ def max_abs_rows(a, b, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(buf, axis=0, out=out)
 
 
+def scan_precision(entries: np.ndarray, steps: int) -> tuple[np.dtype, float]:
+    """(scan dtype, slack) of a cube scan over int64 or float64 ``entries``
+    whose wide running sums take ``steps`` additions; the module docstring
+    states the dtype rule and proves the slack bound."""
+    s = float(np.abs(entries).sum(axis=1).max())
+    if entries.dtype.kind in "iu":
+        for dtype in (np.int8, np.int16, np.int32):
+            if 3 * s <= np.iinfo(dtype).max:
+                return np.dtype(dtype), 0
+        return np.dtype(np.int64), 0
+    dtype = np.dtype(np.float32 if 3 * s <= float(np.finfo(np.float32).max) else np.float64)
+    eps, tiny = float(np.finfo(dtype).eps), float(np.finfo(dtype).smallest_subnormal)
+    terms = steps + 4 * entries.shape[1]
+    bound = (2 * eps + terms * float(np.finfo(np.float64).eps) / 2) * s + (terms + 4) * tiny
+    return dtype, 2.0 * bound
+
+
+def scan_bounds(dtype: np.dtype, threshold: float, slack: float) -> tuple:
+    """threshold + slack and threshold - slack as comparison bounds for
+    norms scanned in ``dtype``: floor() of each for integer scans, and for
+    float scans each clamped to the dtype's range, so that NEP 50's cast of
+    the bound to the dtype cannot overflow."""
+    if dtype.kind in "iu":
+        return tuple(math.floor(x) if math.isfinite(x) else x
+                     for x in (threshold + slack, threshold - slack))
+    top = float(np.finfo(dtype).max)
+    return tuple(min(max(float(x), -top), top) for x in (threshold + slack, threshold - slack))
+
+
 class _GrayScan:
-    """Blocked halved Gray-code walk yielding per-candidate norms."""
+    """Blocked halved Gray-code walk yielding per-candidate norms in the
+    scan dtype of ``scan_precision``."""
 
     def __init__(self, entries: np.ndarray):
         m, n = entries.shape
@@ -166,43 +241,29 @@ class _GrayScan:
         self.q = q = min(_BLOCK_BITS, n - 1)
         b = 1 << q
         self.n_blocks = 1 << (n - 1 - q)
+        self.dtype, self.slack = scan_precision(entries, self.n_blocks)
         r = np.arange(b, dtype=np.uint64)
         gray = r ^ (r >> np.uint64(1))
         bits = (signs_from_codes(gray, q + 1, "gray")[:, 1:] < 0).astype(entries.dtype)
-        suffix = bits @ (-2 * entries[:, 1:1 + q]).T             # (b, M)
+        suffix = (bits @ (-2 * entries[:, 1:1 + q]).T).astype(self.dtype)   # (b, M)
         self.low = (gray, gray ^ np.uint64(b >> 1))
         # gray(b-1-r) = gray(r) ^ (b>>1): odd blocks read the table reversed
         self.tables = (np.ascontiguousarray(suffix.T),
                        np.ascontiguousarray(suffix.T[:, ::-1]))  # (M, b) each
         self.base = entries.sum(axis=1)
-        self.slack = self._slack(entries, self.n_blocks)
-
-    @staticmethod
-    def _slack(entries: np.ndarray, steps: int) -> float:
-        """Bound on |scanned norm - disc_value norm| of any candidate.
-
-        Every partial signed row sum is at most S = max_i sum_j |M_ij| in
-        absolute value, so each rounded addition errs by at most eps*S/2:
-        at most ``steps`` along the walk, fewer than 2n in the table entry
-        and the final add, and fewer than n in the direct product.  The
-        factor 4 absorbs the second-order terms.  Integers scan exactly.
-        """
-        if entries.dtype != np.float64:
-            return 0
-        s = float(np.abs(entries).sum(axis=1).max())
-        return 4.0 * (steps + 3 * entries.shape[1]) * float(np.finfo(np.float64).eps) * s
 
     def blocks(self):
         """Yield (parity, gray_high, norms of shape (2^q,)) per block.
 
         norms[r] is ||M sigma||_inf of the block's r-th candidate in walk
-        order; the array is reused by the next block.
+        order, in the scan dtype; the array is reused by the next block.
         """
         m = self.entries.shape[0]
         b = 1 << self.q
-        buf = aligned_empty((m, b), self.entries.dtype)
-        vals = aligned_empty(b, self.entries.dtype)
-        cur = self.base.copy()
+        buf = aligned_empty((m, b), self.dtype)
+        vals = aligned_empty(b, self.dtype)
+        cur = self.base.copy()                  # wide high-bit row sums
+        head = np.empty((m, 1), dtype=self.dtype)
         gray_high = 0
         for j in range(self.n_blocks):
             if j:
@@ -215,15 +276,16 @@ class _GrayScan:
                     cur -= 2 * col
                     gray_high |= 1 << bit
             par = j & 1
-            yield par, gray_high, max_abs_rows(cur[:, None], self.tables[par], buf, vals)
+            head[:, 0] = cur
+            yield par, gray_high, max_abs_rows(head, self.tables[par], buf, vals)
 
     def codes(self, parity: int, gray_high: int, rs) -> np.ndarray:
         """Walk codes of within-block candidate positions ``rs``."""
         return np.uint64(gray_high << self.q) | self.low[parity][rs]
 
 
-def _direct_value(inst: Instance, code) -> Union[int, float]:
-    return disc_value(inst, signs_from_codes([code], inst.cols, "gray")[0]).value
+def _direct_value(inst: Instance, code, order: str = "gray") -> Union[int, float]:
+    return disc_value(inst, signs_from_codes([code], inst.cols, order)[0]).value
 
 
 def exact_discrepancy(inst: Instance, max_n: Optional[int] = None) -> DiscrepancyResult:
@@ -245,12 +307,13 @@ def exact_discrepancy(inst: Instance, max_n: Optional[int] = None) -> Discrepanc
     best_code = np.uint64(0)
     for par, gh, vals in scan.blocks():
         r = int(np.argmin(vals))
-        if not vals[r] < best + slack:
-            continue
         if not slack:
-            best, best_code = vals[r], scan.codes(par, gh, r)
+            if vals[r] < best:
+                best, best_code = vals[r], scan.codes(par, gh, r)
             continue
-        near = np.flatnonzero((vals <= vals[r] + 2 * slack) & (vals < best + slack))
+        if not vals[r] <= best + slack:
+            continue
+        near = np.flatnonzero((vals <= float(vals[r]) + 2 * slack) & (vals <= best + slack))
         for code in scan.codes(par, gh, near):
             value = _direct_value(inst, code)
             if value < best:
@@ -276,17 +339,19 @@ def enumerate_below(inst: Instance, threshold: float,
         raise CapacityError(f"enumeration for n={n} exceeds max_n={max_n}")
     scan = _GrayScan(_work_entries(inst))
     slack = scan.slack
+    hi, lo = scan_bounds(scan.dtype, threshold, slack)
     found = []
     for par, gh, vals in scan.blocks():
-        hits = np.flatnonzero(vals <= threshold + slack)
+        hits = (vals <= hi).nonzero()[0]
         if not hits.size:
             continue
         codes = scan.codes(par, gh, hits)
         if slack:
-            keep = vals[hits] <= threshold - slack
-            for i in np.flatnonzero(~keep):
-                keep[i] = _direct_value(inst, codes[i]) <= threshold
-            codes = codes[keep]
+            keep = vals[hits] < lo
+            if not keep.all():
+                for i in (~keep).nonzero()[0]:
+                    keep[i] = _direct_value(inst, codes[i]) <= threshold
+                codes = codes[keep]
         found.append(codes)
     if not found:
         return np.empty((0, n), dtype=np.int8)

@@ -25,6 +25,8 @@ from .online import ALGORITHMS, make_algorithm, run_online
 from .reports import emit_report, render_json, to_payload
 
 KINDS = ("online", "exact", "sbp-count")
+# config keys that a kind would silently ignore
+_UNUSED_KEYS = {"exact": ("alg", "lam", "kappa"), "sbp-count": ("alg", "lam")}
 
 
 def _is_int(value) -> bool:
@@ -99,6 +101,10 @@ class ExperimentConfig:
         missing = [k for k in ("kind", "rows", "cols") if k not in raw]
         if missing:
             raise ParameterError(f"experiment config lacks {', '.join(missing)}")
+        unused = [k for k in _UNUSED_KEYS.get(raw["kind"], ()) if k in raw]
+        if unused:
+            raise ParameterError(f"experiment kind {raw['kind']!r} does not use "
+                                 f"{', '.join(unused)}")
         return cls(seeds=seeds, **raw)
 
     def to_dict(self) -> dict:

@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import philox
-from .discrepancy import (aligned_empty, codes_from_signs, disc_value, enumerate_below,
-                          max_abs_rows, signs_from_codes)
+from .discrepancy import (_direct_value, _work_entries, aligned_empty, codes_from_signs,
+                          disc_value, enumerate_below, max_abs_rows, scan_bounds,
+                          scan_precision, signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
 from .instances import Instance, generate, interpolate
 from .online import run_online_batch
@@ -180,39 +181,57 @@ def _search_shared_prefix(members: Sequence[Instance], k: int,
     ||M_i sigma_i||_inf <= threshold, or None.
 
     Prefix sums are kept as (M, P) and each member's suffix sums as
-    (M, 2^k), so ``max_abs_rows`` reduces over the rows of an (M, P, 2^k)
-    buffer; a prefix survives a member when any suffix is feasible.
+    (M, 2^k), both built in the wide dtype and cast to the scan dtype of
+    ``scan_precision``, so ``max_abs_rows`` reduces over the rows of an
+    (M, P, 2^k) buffer; a prefix survives a member when any suffix may be
+    feasible.  The surviving prefixes are then decided in order as in
+    ``enumerate_below``: a suffix within the slack of the threshold is
+    decided on ``disc_value``.
     """
     n = members[0].cols
     n_pref = n - k
-    dtype = np.int64 if members[0].disorder in _INTEGER_DISORDERS else np.float64
-    work = [np.asarray(mem.entries, dtype=dtype) for mem in members]
+    work = [_work_entries(mem) for mem in members]
+    dtype, slack = scan_precision(np.concatenate(work), 0)
+    hi, lo = scan_bounds(dtype, threshold, slack)
     m_rows = members[0].rows
-    suffix_signs = signs_from_codes(np.arange(1 << k, dtype=np.uint64), k, "lex").astype(dtype)
-    suffix_sums = [np.ascontiguousarray((suffix_signs @ w[:, n_pref:].T).T)
-                   for w in work]                                 # (M, 2^k) each
+    suffix_signs = signs_from_codes(np.arange(1 << k, dtype=np.uint64), k, "lex")
+    suffix_sums = [np.ascontiguousarray((suffix_signs.astype(w.dtype) @ w[:, n_pref:].T).T,
+                                        dtype=dtype) for w in work]  # (M, 2^k) each
     n_prefixes = 1 << n_pref
     chunk = min(n_prefixes, max(1, _SEARCH_ENTRIES // ((1 << k) * m_rows)))
     buf = aligned_empty((m_rows, chunk, 1 << k), dtype)
     vals = aligned_empty((chunk, 1 << k), dtype)
     prefix_cols = work[0][:, :n_pref]
+
+    def first_suffix(mem, norms, prefix):
+        # the first suffix of ``prefix`` that ``mem`` admits, or None
+        for r in (norms <= hi).nonzero()[0]:
+            code = (prefix << k) | int(r)
+            if not slack or norms[r] < lo or _direct_value(mem, code, "lex") <= threshold:
+                return int(r)
+        return None
+
     for start in range(0, n_prefixes, chunk):
         codes = np.arange(start, min(start + chunk, n_prefixes), dtype=np.uint64)
         p = codes.shape[0]
-        psums = (signs_from_codes(codes, n_pref, "lex").astype(dtype) @ prefix_cols.T).T
+        psums = (signs_from_codes(codes, n_pref, "lex").astype(prefix_cols.dtype)
+                 @ prefix_cols.T).T.astype(dtype)
         ok = np.ones(p, dtype=bool)
         for ss in suffix_sums:
             norms = max_abs_rows(psums[:, :, None], ss[:, None, :], buf[:, :p], vals[:p])
-            ok &= np.any(norms <= threshold, axis=1)
+            ok &= np.any(norms <= hi, axis=1)
             if not ok.any():
                 break
-        if ok.any():
-            local = int(np.argmax(ok))
+        for local in ok.nonzero()[0]:
+            prefix = start + int(local)
             suffixes = []
-            for ss in suffix_sums:
+            for mem, ss in zip(members, suffix_sums):
                 norms = np.max(np.abs(psums[:, local, None] + ss), axis=0)
-                suffixes.append(int(np.argmax(norms <= threshold)))
-            return start + local, suffixes
+                suffixes.append(first_suffix(mem, norms, prefix))
+                if suffixes[-1] is None:
+                    break
+            else:
+                return prefix, suffixes
     return None
 
 

@@ -282,12 +282,26 @@ class McEstimate:
     samples: int
 
 
+def correlate(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """chol @ z for (m, k) samples z, summed over j = 0, 1, ... in that order
+    for every sample, so a sample's result does not depend on k.  A BLAS
+    product does not promise that: it computes a one-sample product with
+    another kernel, which can differ in the last ulp."""
+    x = np.zeros_like(z)
+    term = np.empty_like(z[0])
+    for i, row in enumerate(chol):
+        for j, c in enumerate(row):
+            x[i] += np.multiply(z[j], c, out=term)
+    return x
+
+
 def mc_box_probability(covariance, half_width: float, samples: int,
                        seed: int) -> McEstimate:
     """Monte Carlo estimate of P[max_i |Z_i| <= half_width], Z ~ N(0, cov).
 
-    Draws are indexed by (sample, dimension) counters, so the estimate is
-    independent of any chunking of the sample loop.  Samples are streamed
+    Draws are indexed by (sample, dimension) counters and each sample is
+    transformed by ``correlate`` alone, so the estimate is independent of
+    any chunking of the sample loop.  Samples are streamed
     in chunks of 2^14, so memory does not grow with ``samples``.
     Degenerate (singular but PSD) covariances such as perfectly coupled
     coordinates are accepted via an eigenvalue factorization; indefinite
@@ -307,13 +321,13 @@ def mc_box_probability(covariance, half_width: float, samples: int,
         chol = v * np.sqrt(np.clip(w, 0.0, None))
     m = cov.shape[0]
     hits = 0
-    dim = np.arange(m, dtype=np.uint64)[None, :]
+    dim = np.arange(m, dtype=np.uint64)[:, None]
     for start in range(0, samples, _MC_CHUNK):
         stop = min(samples, start + _MC_CHUNK)
-        idx = np.arange(start, stop, dtype=np.uint64)[:, None]
-        z = philox.gaussians(seed, idx, dim, 4)
-        x = z @ chol.T
-        hits += int(np.count_nonzero(np.max(np.abs(x), axis=1) <= half_width))
+        idx = np.arange(start, stop, dtype=np.uint64)[None, :]
+        x = correlate(chol, philox.gaussians(seed, idx, dim, 4))
+        np.abs(x, out=x)
+        hits += int(np.count_nonzero(np.maximum.reduce(x, axis=0) <= half_width))
     p = hits / samples
     se = math.sqrt(p * (1.0 - p) / samples)
     return McEstimate(estimate=p, std_error=se, samples=samples)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from disclab import (CapacityError, Instance, ParameterError,
                      UnsupportedDisorderError, disc_value, enumerate_below,
-                     enumerate_solutions, exact_discrepancy, generate,
-                     parse_sign_string, sbp_membership, sign_string)
-from disclab.discrepancy import aligned_empty, codes_from_signs, signs_from_codes
+                     enumerate_solutions, exact_discrepancy, generate, load_instance,
+                     parse_sign_string, save_instance, sbp_membership, search_xi_sbp,
+                     sign_string)
+from disclab.discrepancy import (aligned_empty, codes_from_signs, scan_precision,
+                                 signs_from_codes)
 from oracles import (gray_first_minimizer, naive_disc_value, naive_exact_value,
                      naive_solution_set)
 
@@ -247,3 +249,92 @@ def test_aligned_empty_starts_on_a_cache_line(shape, dtype):
         assert a.ctypes.data % 64 == 0
         assert a.shape == np.empty(shape).shape and a.dtype == dtype
         assert a.flags.c_contiguous and a.flags.writeable
+
+
+# -- scan dtypes and re-decision on the direct product --------------------------
+
+@pytest.mark.parametrize("scale, dtype", [(1, np.int8), (100, np.int16), (10 ** 5, np.int32),
+                                          (10 ** 9, np.int64)])
+def test_exact_matches_naive_in_every_integer_scan_dtype(scale, dtype, tmp_path):
+    rng = np.random.default_rng(scale)
+    for trial in range(3):
+        entries = rng.integers(-scale, scale + 1, size=(5, 15), dtype=np.int64)
+        path = tmp_path / f"inst{trial}.txt"
+        save_instance(Instance(5, 15, "rademacher", trial, entries), path)
+        inst = load_instance(path)
+        assert scan_precision(inst.entries, 4)[0] == dtype
+        res = exact_discrepancy(inst)
+        assert res.value == naive_exact_value(inst.entries)
+        assert np.array_equal(res.argmin, gray_first_minimizer(inst.entries))
+        assert res.row_sums.dtype == np.int64
+        assert {tuple(r) for r in enumerate_below(inst, res.value).tolist()} == \
+            naive_solution_set(inst.entries, res.value)
+
+
+def test_exact_matches_naive_in_the_float32_scan():
+    for seed in range(4):
+        inst = generate(5, 15, "gaussian", seed)
+        assert scan_precision(inst.entries, 4)[0] == np.float32
+        res = exact_discrepancy(inst)
+        assert abs(res.value - naive_exact_value(inst.entries)) <= 1e-12
+        assert np.array_equal(res.argmin, gray_first_minimizer(inst.entries))
+        assert res.value == disc_value(inst, res.argmin).value
+
+
+def test_scan_precision_dtypes_and_slack():
+    entries = generate(4, 20, "gaussian", 1).entries
+    s = float(np.abs(entries).sum(axis=1).max())
+    dtype, slack = scan_precision(entries, 256)
+    assert dtype == np.float32 and slack >= np.finfo(np.float32).eps * s
+    assert scan_precision(np.zeros((2, 5)), 1)[1] > 0
+    assert scan_precision(np.full((2, 5), 1e38), 1)[0] == np.float64
+    assert scan_precision(np.ones((2, 42), dtype=np.int64), 4) == (np.int8, 0)
+    assert scan_precision(np.ones((2, 43), dtype=np.int64), 4) == (np.int16, 0)
+
+
+_TIE = 2.0 ** -30        # 0.5 +- _TIE are distinct in float64, one value in float32
+
+
+def _near_tie(y, z):
+    # among the four vectors with sigma(1) = +1, row 2 leaves two whose
+    # norms are 0.5 + (y - z) and 0.5 - (y - z)
+    assert np.float32(0.5 + _TIE) == np.float32(0.5 - _TIE)
+    return _inst([[0.5, y, z], [0.0, 1.0, 1.0]], "gaussian")
+
+
+def test_exact_near_tie_decided_on_the_direct_product():
+    # the walk visits (+,-,+) at 0.5 + _TIE before (+,+,-) at 0.5 - _TIE
+    inst = _near_tie(0.25, 0.25 + _TIE)
+    assert disc_value(inst, [1, -1, 1]).value == 0.5 + _TIE
+    res = exact_discrepancy(inst)
+    assert res.argmin.tolist() == [1, 1, -1]
+    assert res.value == 0.5 - _TIE
+
+
+def test_enumerate_near_tie_decided_on_the_direct_product():
+    inst = _near_tie(0.25, 0.25 + _TIE)
+    got = {tuple(r) for r in enumerate_below(inst, 0.5 - _TIE).tolist()}
+    assert got == {(1, 1, -1), (-1, -1, 1)}
+    got = {tuple(r) for r in enumerate_below(inst, 0.5).tolist()}
+    assert got == {(1, 1, -1), (-1, -1, 1)}
+    assert len(enumerate_below(inst, 0.5 + _TIE)) == 4
+
+
+def test_xi_sbp_near_tie_decided_on_the_direct_product():
+    # lexicographically (+,+,-) at 0.5 + _TIE comes before (+,-,+) at 0.5 - _TIE
+    inst = _near_tie(0.25 + _TIE, 0.25)
+    cert = search_xi_sbp([inst, inst], 2, 0.5 / math.sqrt(3))
+    assert cert.members.tolist() == [[1, -1, 1], [1, -1, 1]]
+    assert np.all(cert.disc_values <= cert.threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_enumerate_below_admits_a_vector_at_its_own_value(data):
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 16))
+    disorder = data.draw(st.sampled_from(["gaussian", "rademacher"]))
+    inst = generate(rows, cols, disorder, data.draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=cols, max_size=cols))
+    got = {tuple(r) for r in enumerate_below(inst, disc_value(inst, sigma).value).tolist()}
+    assert tuple(sigma) in got and tuple(-s for s in sigma) in got

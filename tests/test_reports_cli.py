@@ -334,6 +334,23 @@ def test_experiment_rejects_unknown_config_keys(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("exact", "kappa", 0.1), ("exact", "alg", "potential"), ("exact", "lam", 0.5),
+    ("sbp-count", "alg", "greedy"), ("sbp-count", "lam", 0.5)])
+def test_experiment_rejects_keys_its_kind_ignores(kind, key, value):
+    raw = {"kind": kind, "rows": 2, "cols": 6, "seeds": [1], key: value}
+    if kind == "sbp-count":
+        raw["kappa"] = 0.5
+    with pytest.raises(ParameterError, match=f"does not use {key}"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_experiment_online_uses_alg_lam_and_kappa():
+    cfg = ExperimentConfig.from_dict({"kind": "online", "rows": 2, "cols": 6, "seeds": [1],
+                                      "alg": "potential", "lam": 0.5, "kappa": 0.6})
+    assert (cfg.alg, cfg.lam, cfg.kappa) == ("potential", 0.5, 0.6)
+
+
 @pytest.mark.parametrize("mode, disorder, bound", [
     ("xi-sbp", "gaussian", ["--kappa", "1.0"]),
     ("xi-disc", "rademacher", ["--cu", "1.0"])])
@@ -360,6 +377,7 @@ BAD_CONFIGS = {
     "rows-float": json.dumps({**_GOOD_CONFIG, "rows": 3.5}),
     "seeds-int": json.dumps({**_GOOD_CONFIG, "seeds": 5}),
     "seeds-not-a-range": json.dumps({**_GOOD_CONFIG, "seeds": "a..b"}),
+    "exact-with-kappa": json.dumps({**_GOOD_CONFIG, "kappa": 0.1}),
 }
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from disclab import philox
+from disclab.theory import correlate
 from disclab import (CovarianceSpec, ParameterError, alpha_c, berry_esseen_bound,
                      binary_entropy, box_probability_quadrature, build_covariance,
                      covariance_analysis, equicorrelated_box_probability,
@@ -216,6 +218,18 @@ def test_mc_box_perfectly_coupled():
                - prob_abs_z_le(1.0)) < 1e-14
     with pytest.raises(ParameterError):
         mc_box_probability(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0, 10_000, seed=3)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 13])
+def test_correlate_sample_does_not_depend_on_chunk_size(m):
+    # a one-sample BLAS product can differ from the same row of a large one
+    chol = np.linalg.cholesky(CovarianceSpec(m, 0.6, 0).materialize())
+    idx = np.arange(1 << 14, dtype=np.uint64)[None, :]
+    z = philox.gaussians(5, idx, np.arange(m, dtype=np.uint64)[:, None], 4)
+    full = correlate(chol, z)
+    for col in (0, 1, (1 << 14) - 1):
+        assert np.array_equal(correlate(chol, z[:, col:col + 1])[:, 0], full[:, col])
+    assert np.allclose(full, chol @ z, rtol=1e-14, atol=1e-14)
 
 
 def test_mc_box_validation():
