@@ -31,8 +31,9 @@ narrowest of int8, int16 and int32 that holds 3S, else in int64, so the
 scan is exact; values are reported in int64.  Float entries are scanned
 in float32 (float64 if 3S overflows it).  The tables are built in the
 wide dtype (int64 or float64) and cast once; the high-bit running sums
-stay wide and are cast once per block, so their drift grows by one wide
-rounding per block, not by one narrow rounding.
+stay wide and are cast once per block, so the drift along the walk is
+one float64 rounding per block, and each block adds one float32 rounding
+of its own that does not carry over.
 
 Re-decision.  Every reported value and row-sum vector is ``disc_value``
 of the witness, and a candidate whose scanned norm lies within the
@@ -206,7 +207,7 @@ def scan_precision(entries: np.ndarray, steps: int) -> tuple[np.dtype, float]:
     """(scan dtype, slack) of a cube scan over int64 or float64 ``entries``
     whose wide running sums take ``steps`` additions; the module docstring
     states the dtype rule and proves the slack bound."""
-    s = float(np.abs(entries).sum(axis=1).max())
+    s = float(np.abs(entries).sum(axis=1, dtype=np.float64).max())   # no int64 wrap
     if entries.dtype.kind in "iu":
         for dtype in (np.int8, np.int16, np.int32):
             if 3 * s <= np.iinfo(dtype).max:
