@@ -12,9 +12,8 @@ from .discrepancy import (DiscrepancyResult, disc_value, enumerate_below,
                           sbp_membership, sign_string)
 from .errors import (CapacityError, ContractViolationError, InstanceFormatError,
                      ParameterError, UnsupportedDisorderError)
-from .instances import (EnsembleSpec, Instance, generate, generate_batch,
-                        interpolate, load_instance, resample_suffix,
-                        save_instance, suffix_width)
+from .instances import (Instance, generate, generate_batch, interpolate,
+                        load_instance, resample_suffix, save_instance)
 from .landscape import (Histogram, OgpWindow, StabilityReport, TupleCertificate,
                         default_angle_grid, overlap_histogram, search_ogp_tuples,
                         search_xi_disc, search_xi_sbp, stability_probe,

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .discrepancy import enumerate_solutions, exact_discrepancy, sign_string
 from .errors import ParameterError
-from .instances import DISORDERS, generate
+from .instances import _check_dims, _check_disorder, generate
 from .online import ALGORITHMS, make_algorithm, run_online
 from .reports import emit_report, render_json, to_payload
 
@@ -62,11 +62,11 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        for name in ("rows", "cols", "max_n", "p", "lam", "kappa"):
+        for name in ("max_n", "lam", "kappa"):
             value = getattr(self, name)
-            if value is None and name not in ("rows", "cols"):
+            if value is None:
                 continue
-            if name in ("rows", "cols", "max_n") and not _is_int(value):
+            if name == "max_n" and not _is_int(value):
                 raise ParameterError(f"experiment {name} must be an integer, got {value!r}")
             if not (_is_int(value) or isinstance(value, float)):
                 raise ParameterError(f"experiment {name} must be a number, got {value!r}")
@@ -74,12 +74,8 @@ class ExperimentConfig:
             raise ParameterError(f"experiment out_dir must be a string, got {self.out_dir!r}")
         if self.kind not in KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}, expected {KINDS}")
-        if self.rows < 1 or self.cols < 1:
-            raise ParameterError("rows and cols must be positive")
-        if self.disorder not in DISORDERS:
-            raise ParameterError(f"unknown disorder {self.disorder!r}")
-        if self.disorder == "bernoulli" and (self.p is None or not 0 < self.p < 1):
-            raise ParameterError("bernoulli disorder needs p in (0,1)")
+        _check_dims(self.rows, self.cols)
+        _check_disorder(self.disorder, self.p)
         if self.kind == "online" and self.alg not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.alg!r}")
         if self.kind == "sbp-count":

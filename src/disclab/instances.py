@@ -6,6 +6,13 @@ of a generated instance is ``philox(key=seed, counter=(i, j, tag, 0))``
 pushed through the family's transform, so generation is deterministic,
 coordinate-parallel, and independent of evaluation order.
 
+``_draw`` is the one draw path: it maps a seed or an array of seeds, the
+disorder, p, a shape and a column offset to Philox.  ``generate`` (one
+seed), ``generate_batch`` (many seeds) and ``resample_suffix`` (the
+members' last k columns, in one batched call) all go through it.
+``_check_dims`` and ``_check_disorder`` are the one parameter rule; a
+loaded instance file and an experiment config obey it as well.
+
 Correlated ensembles come in two flavours:
 
 * suffix resampling -- members share the first n-k columns of a base
@@ -17,7 +24,7 @@ Correlated ensembles come in two flavours:
 from __future__ import annotations
 
 import json
-import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,36 +61,38 @@ class Instance:
         return self.rows, self.cols
 
 
-def _check_dims(rows: int, cols: int) -> None:
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"dimensions must be positive, got {rows}x{cols}")
+def _check_dims(rows, cols) -> None:
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+               for v in (rows, cols)):
+        raise ParameterError(f"rows and cols must be positive integers, "
+                             f"got {rows!r} and {cols!r}")
 
 
-def _check_disorder(disorder: str, p: Optional[float]) -> None:
+def _check_disorder(disorder, p) -> None:
     if disorder not in DISORDERS:
         raise ParameterError(f"unknown disorder {disorder!r}, expected one of {DISORDERS}")
     if disorder == "bernoulli":
-        if p is None or not 0.0 < p < 1.0:
-            raise ParameterError(f"bernoulli disorder needs p in (0,1), got {p}")
+        if not (isinstance(p, numbers.Real) and not isinstance(p, bool) and 0.0 < p < 1.0):
+            raise ParameterError(f"bernoulli disorder needs p in (0,1), got {p!r}")
     elif p is not None:
-        raise ParameterError(f"p is only meaningful for bernoulli disorder, got p={p}")
+        raise ParameterError(f"p is only meaningful for bernoulli disorder, got p={p!r}")
 
 
-def _entries_block(seed: int, disorder: str, p: Optional[float],
-                   row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray:
-    """Entries at the given (broadcast) coordinate grids."""
-    tag = _STREAM_TAG[disorder]
-    if disorder == "gaussian":
-        return philox.gaussians(seed, row_idx, col_idx, tag)
-    if disorder == "rademacher":
-        return philox.signs(seed, row_idx, col_idx, tag)
-    return philox.bernoullis(seed, p, row_idx, col_idx, tag)
+def _draw(key, disorder: str, p: Optional[float], rows: int, cols: int,
+          col_offset: int = 0) -> np.ndarray:
+    """Entries (i, col_offset + j) for i < rows, j < cols: the one draw path.
 
-
-def _entry_grid(rows: int, cols: int, col_offset: int = 0):
+    ``key`` is a scalar seed, giving (rows, cols), or a (B, 1, 1) uint64
+    array of seeds, giving (B, rows, cols).
+    """
     r = np.arange(rows, dtype=np.uint64)[:, None]
     c = np.arange(col_offset, col_offset + cols, dtype=np.uint64)[None, :]
-    return r, c
+    tag = _STREAM_TAG[disorder]
+    if disorder == "gaussian":
+        return philox.gaussians(key, r, c, tag)
+    if disorder == "rademacher":
+        return philox.signs(key, r, c, tag)
+    return philox.bernoullis(key, p, r, c, tag)
 
 
 def generate(rows: int, cols: int, disorder: str, seed: int,
@@ -91,19 +100,9 @@ def generate(rows: int, cols: int, disorder: str, seed: int,
     """Generate a fresh instance; identical arguments give identical entries."""
     _check_dims(rows, cols)
     _check_disorder(disorder, p)
-    r, c = _entry_grid(rows, cols)
-    entries = _entries_block(seed, disorder, p, r, c)
+    entries = _draw(seed, disorder, p, rows, cols)
     entries.setflags(write=False)
     return Instance(rows, cols, disorder, seed, entries, p)
-
-
-def suffix_width(cols: int, fraction: float) -> int:
-    """Resampled-column count for a fractional width: floor(fraction * n),
-    clamped to at least 1.  The exact k should be recorded alongside any
-    ensemble built from a fraction."""
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError(f"fraction must lie in (0, 1], got {fraction}")
-    return max(1, int(math.floor(fraction * cols)))
 
 
 def generate_batch(rows: int, cols: int, disorder: str, seeds,
@@ -111,20 +110,16 @@ def generate_batch(rows: int, cols: int, disorder: str, seeds,
     """Entries for many seeds at once: (len(seeds), rows, cols).
 
     Equals np.stack([generate(rows, cols, disorder, s, p).entries for s
-    in seeds]) entry for entry; ``col_offset`` shifts the column counter
-    (used to redraw suffix blocks in ensemble batches).
+    in seeds]) entry for entry; ``col_offset`` shifts the column counter,
+    so the batch holds columns col_offset.. of each seed's instance.
     """
     _check_dims(rows, cols)
     _check_disorder(disorder, p)
-    key = np.asarray(seeds, dtype=np.uint64)[:, None, None]
-    r = np.arange(rows, dtype=np.uint64)[None, :, None]
-    c = np.arange(col_offset, col_offset + cols, dtype=np.uint64)[None, None, :]
-    tag = _STREAM_TAG[disorder]
-    if disorder == "gaussian":
-        return philox.gaussians(key, r, c, tag)
-    if disorder == "rademacher":
-        return philox.signs(key, r, c, tag)
-    return philox.bernoullis(key, p, r, c, tag)
+    try:
+        key = np.asarray(seeds, dtype=np.uint64)[:, None, None]
+    except OverflowError:
+        raise ParameterError(f"seeds must be 64-bit unsigned values, got {seeds!r}") from None
+    return _draw(key, disorder, p, rows, cols, col_offset)
 
 
 def resample_suffix(base: Instance, k: int, m: int,
@@ -142,12 +137,10 @@ def resample_suffix(base: Instance, k: int, m: int,
         raise ParameterError(f"ensemble size m={m} must be >= 2")
     if len(seeds) != m - 1:
         raise ParameterError(f"need {m - 1} member seeds for m={m}, got {len(seeds)}")
+    suffixes = generate_batch(base.rows, k, base.disorder, seeds, base.p, col_offset=n - k)
     members = [base]
-    prefix = base.entries[:, : n - k]
-    r, c = _entry_grid(base.rows, k, col_offset=n - k)
-    for s in seeds:
-        suffix = _entries_block(s, base.disorder, base.p, r, c)
-        entries = np.concatenate([prefix, suffix], axis=1)
+    for s, suffix in zip(seeds, suffixes):
+        entries = np.concatenate([base.entries[:, : n - k], suffix], axis=1)
         entries.setflags(write=False)
         members.append(Instance(base.rows, n, base.disorder, int(s), entries, base.p))
     return members
@@ -174,59 +167,6 @@ def interpolate(base: Instance, fresh: Instance, tau: float) -> Instance:
     entries = c * base.entries + s * fresh.entries
     entries.setflags(write=False)
     return Instance(base.rows, base.cols, "gaussian", None, entries)
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Reproducible description of a correlated ensemble.
-
-    mode "suffix_resample": ``k`` columns redrawn per member, m members,
-    member_seeds of length m-1 (the first member is the base).
-    mode "interpolate": per-member angles in [0, pi/2]; member_seeds of
-    length m seed the fresh matrices mixed into the base.
-    """
-
-    base_rows: int
-    base_cols: int
-    disorder: str
-    base_seed: int
-    mode: str
-    m: int
-    member_seeds: tuple[int, ...]
-    k: Optional[int] = None
-    angles: Optional[tuple[float, ...]] = None
-    p: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in ("suffix_resample", "interpolate"):
-            raise ParameterError(f"unknown ensemble mode {self.mode!r}")
-        if self.m < 1:
-            raise ParameterError("ensemble needs m >= 1 members")
-        if self.mode == "suffix_resample":
-            if self.k is None or not 0 < self.k <= self.base_cols:
-                raise ParameterError(f"suffix_resample needs 0 < k <= n, got k={self.k}")
-            if len(self.member_seeds) != self.m - 1:
-                raise ParameterError("suffix_resample needs m-1 member seeds")
-        else:
-            if self.disorder != "gaussian":
-                raise UnsupportedDisorderError("interpolate ensembles are gaussian only")
-            if self.angles is None or len(self.angles) != self.m:
-                raise ParameterError("interpolate needs one angle per member")
-            if any(not 0.0 <= t <= np.pi / 2 for t in self.angles):
-                raise ParameterError("angles must lie in [0, pi/2]")
-            if len(self.member_seeds) != self.m:
-                raise ParameterError("interpolate needs m member seeds")
-
-    def realize(self) -> list[Instance]:
-        base = generate(self.base_rows, self.base_cols, self.disorder,
-                        self.base_seed, self.p)
-        if self.mode == "suffix_resample":
-            return resample_suffix(base, self.k, self.m, self.member_seeds)
-        members = []
-        for tau, s in zip(self.angles, self.member_seeds):
-            fresh = generate(self.base_rows, self.base_cols, "gaussian", s)
-            members.append(interpolate(base, fresh, tau))
-        return members
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +208,11 @@ def _read_header(fh, path) -> dict:
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise InstanceFormatError(f"{path}: header lacks {', '.join(missing)}")
-    rows, cols = header["rows"], header["cols"]
-    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
-        raise InstanceFormatError(f"{path}: rows and cols must be positive integers, "
-                                  f"got {rows!r} and {cols!r}")
-    if header["disorder"] not in DISORDERS:
-        raise InstanceFormatError(f"{path}: unknown disorder {header['disorder']!r}")
+    try:
+        _check_dims(header["rows"], header["cols"])
+        _check_disorder(header["disorder"], header.get("p"))
+    except ParameterError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from None
     if header["body"] not in ("csv", "raw"):
         raise InstanceFormatError(f"{path}: body must be 'csv' or 'raw', "
                                   f"got {header['body']!r}")
@@ -319,9 +258,19 @@ def load_instance(path) -> Instance:
                                       f"{rows}x{cols} float64 entries need {need}")
         entries = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols).copy()
         if integer:
+            if not np.all((np.floor(entries) == entries) & (np.abs(entries) < 2.0**63)):
+                raise InstanceFormatError(f"{path}: {header['disorder']} raw body holds "
+                                          "a value that is not an int64 integer")
             entries = entries.astype(np.int64)
     else:
         entries = _parse_csv(body, rows, cols, integer, path)
+    if integer:
+        # disc_value and the cube scan sum integer rows in int64, which must
+        # hold 3*S for the largest absolute row sum S (see scan_precision)
+        s = max(sum(map(abs, row)) for row in entries.tolist())   # exact Python ints
+        if 3 * s > np.iinfo(np.int64).max:
+            raise InstanceFormatError(f"{path}: an absolute row sum reaches {s}; "
+                                      "integer entries need 3 times it to fit in int64")
     entries.setflags(write=False)
     return Instance(rows, cols, header["disorder"], header.get("seed"), entries,
                     header.get("p"))

@@ -102,34 +102,14 @@ def histogram_csv(hist: Histogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    header = list(rows[0].keys())
-    out = [",".join(header)]
-    for row in rows:
-        cells = []
-        for k in header:
-            v = row[k]
-            if isinstance(v, float):
-                cells.append(_render_float(v))
-            else:
-                cells.append(str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
-
-
 def emit_report(result: Any, fmt: str = "json", path=None) -> str:
     """Serialize ``result``; write to ``path`` when given, return the text."""
     if fmt not in ("json", "csv"):
         raise ParameterError(f"format must be 'json' or 'csv', got {fmt!r}")
     if fmt == "csv":
-        if isinstance(result, Histogram):
-            text = histogram_csv(result)
-        elif isinstance(result, list) and all(isinstance(r, dict) for r in result):
-            text = _rows_csv(result)
-        else:
-            raise ParameterError("csv output needs a histogram or a list of row dicts")
+        if not isinstance(result, Histogram):
+            raise ParameterError("csv output needs a histogram")
+        text = histogram_csv(result)
     else:
         text = render_json(to_payload(result)) + "\n"
     if path is not None:

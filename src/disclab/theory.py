@@ -85,6 +85,24 @@ def _report(terms: dict[str, float], params: dict, scale: str) -> ExponentReport
                           verdict=verdict, scale=scale)
 
 
+def _member_terms(w: int, delta: float, alpha: float, kappa: float) -> dict[str, float]:
+    """The terms of the prefix-locked exponent that come once per tuple
+    member, taken w times: a free suffix, the per-row normalization and
+    box volume, and one small eigenvalue delta of the correlation matrix."""
+    if not 0.0 < delta < 0.5:
+        raise ParameterError(f"delta must lie in (0, 1/2), got {delta}")
+    if not alpha > 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not kappa > 0:
+        raise ParameterError(f"kappa must be positive, got {kappa}")
+    return {
+        "suffixes": w * delta,
+        "normalization": -(alpha * w / 2.0) * _LOG2_2PI,
+        "box_volume": alpha * w * math.log2(2.0 * kappa),
+        "small_eigenvalues": -(alpha * w / 2.0) * math.log2(delta),
+    }
+
+
 def psi_sbp(delta: float, m: int, alpha: float, kappa: float) -> ExponentReport:
     """Per-n exponent of the expected count of prefix-locked solution m-tuples.
 
@@ -93,19 +111,14 @@ def psi_sbp(delta: float, m: int, alpha: float, kappa: float) -> ExponentReport:
     the equicorrelated Gaussian vector with off-diagonal 1-delta, whose
     spectrum is {delta (m-1 times), delta + (1-delta)m}.
     """
-    if not 0.0 < delta < 0.5:
-        raise ParameterError(f"delta must lie in (0, 1/2), got {delta}")
     if m < 1:
         raise ParameterError(f"tuple size m must be >= 1, got {m}")
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    per_m = _member_terms(m, delta, alpha, kappa)
     terms = {
-        "counting": 1.0 + m * delta,
-        "normalization": -(alpha * m / 2.0) * _LOG2_2PI,
-        "box_volume": alpha * m * math.log2(2.0 * kappa),
-        "small_eigenvalues": -(alpha * (m - 1) / 2.0) * math.log2(delta),
+        "counting": 1.0 + per_m["suffixes"],
+        "normalization": per_m["normalization"],
+        "box_volume": per_m["box_volume"],
+        "small_eigenvalues": _member_terms(m - 1, delta, alpha, kappa)["small_eigenvalues"],
         "top_eigenvalue": -(alpha / 2.0) * math.log2(delta + (1.0 - delta) * m),
     }
     params = {"delta": delta, "m": m, "alpha": alpha, "kappa": kappa}
@@ -113,15 +126,10 @@ def psi_sbp(delta: float, m: int, alpha: float, kappa: float) -> ExponentReport:
 
 
 def upsilon(delta: float, alpha: float, kappa: float) -> float:
-    """The m-free part of the prefix-locked exponent (per tuple member)."""
-    if not 0.0 < delta < 0.5:
-        raise ParameterError(f"delta must lie in (0, 1/2), got {delta}")
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
-    return (delta - (alpha / 2.0) * _LOG2_2PI + alpha * math.log2(2.0 * kappa)
-            - (alpha / 2.0) * math.log2(delta))
+    """The m-free part of the prefix-locked exponent (per tuple member): the
+    exact sum of ``psi_sbp``'s terms for one member, so psi_sbp's value is
+    1 + m * upsilon + (alpha/2) log2(delta) + its top-eigenvalue term."""
+    return math.fsum(_member_terms(1, delta, alpha, kappa).values())
 
 
 def psi_disc(m: int, beta: float, eta: float, c: float, n: float, M: float,

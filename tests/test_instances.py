@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disclab import (EnsembleSpec, ParameterError, UnsupportedDisorderError,
-                     generate, interpolate, load_instance, resample_suffix,
-                     save_instance)
+from disclab import (ParameterError, UnsupportedDisorderError, generate, interpolate,
+                     load_instance, resample_suffix, save_instance)
 from disclab.instances import generate_batch
 
 
@@ -46,13 +47,35 @@ def test_generate_batch_matches_singles():
         assert np.array_equal(rb[i], generate(3, 3, "rademacher", s).entries)
 
 
-def test_suffix_width_floor():
-    from disclab.instances import suffix_width
-    assert suffix_width(10, 0.35) == 3
-    assert suffix_width(10, 1.0) == 10
-    assert suffix_width(9, 0.05) == 1            # clamped up to one column
-    with pytest.raises(ParameterError):
-        suffix_width(10, 0.0)
+@settings(max_examples=60, deadline=None)
+@given(disorder=st.sampled_from(["gaussian", "rademacher", "bernoulli"]),
+       rows=st.integers(1, 5), cols=st.integers(1, 30) | st.sampled_from([3277, 6000]),
+       seeds=st.lists(st.integers(0, 2**64 - 1) | st.just(2**64 - 1), min_size=1, max_size=4),
+       col_offset=st.integers(0, 64), data=st.data())
+def test_generation_does_not_depend_on_order(disorder, rows, cols, seeds, col_offset, data):
+    p = 0.3 if disorder == "bernoulli" else None
+    # a batch member is its seed's own instance, at any column offset
+    batch = generate_batch(rows, cols, disorder, seeds, p)
+    shifted = generate_batch(rows, cols, disorder, seeds, p, col_offset=col_offset)
+    for b, s in enumerate(seeds):
+        assert np.array_equal(batch[b], generate(rows, cols, disorder, s, p).entries)
+        wide = generate(rows, col_offset + cols, disorder, s, p).entries
+        assert np.array_equal(shifted[b], wide[:, col_offset:])
+    # a smaller instance is the top-left block of a larger one
+    r, c = data.draw(st.integers(1, rows)), data.draw(st.integers(1, cols))
+    full = generate(rows, cols, disorder, seeds[0], p).entries
+    assert np.array_equal(generate(r, c, disorder, seeds[0], p).entries, full[:r, :c])
+    # resampled suffixes are the member seeds' own last k columns
+    k = data.draw(st.integers(1, cols))
+    members = resample_suffix(generate(rows, cols, disorder, seeds[0], p), k,
+                              len(seeds) + 1, seeds)
+    suffixes = generate_batch(rows, k, disorder, seeds, p, col_offset=cols - k)
+    for b, s in enumerate(seeds):
+        entries = members[b + 1].entries
+        assert np.array_equal(entries[:, cols - k:], suffixes[b])
+        assert np.array_equal(entries[:, cols - k:],
+                              generate(rows, cols, disorder, s, p).entries[:, cols - k:])
+        assert np.array_equal(entries[:, :cols - k], full[:, :cols - k])
 
 
 def test_parameter_errors():
@@ -70,6 +93,10 @@ def test_parameter_errors():
         generate(2, 2, "nonsense", 1)
     with pytest.raises(ParameterError):
         generate(2, 2, "gaussian", 1, p=0.5)
+    with pytest.raises(ParameterError):
+        generate(2.0, 2, "gaussian", 1)
+    with pytest.raises(ParameterError):
+        generate(2, 2, "bernoulli", 1, p="0.5")
 
 
 def test_resample_prefix_identity_exact():
@@ -181,30 +208,3 @@ def test_instance_file_roundtrip_raw(tmp_path):
     save_instance(inst, path, body="raw")
     back = load_instance(path)
     assert back.entries.tobytes() == inst.entries.tobytes()
-
-
-def test_ensemble_spec_realize():
-    spec = EnsembleSpec(base_rows=3, base_cols=8, disorder="gaussian", base_seed=5,
-                        mode="suffix_resample", m=3, member_seeds=(9, 10), k=2)
-    members = spec.realize()
-    assert len(members) == 3
-    again = spec.realize()
-    for a, b in zip(members, again):
-        assert np.array_equal(a.entries, b.entries)
-    ispec = EnsembleSpec(base_rows=2, base_cols=4, disorder="gaussian", base_seed=1,
-                         mode="interpolate", m=2, member_seeds=(7, 8),
-                         angles=(0.0, 1.0))
-    mems = ispec.realize()
-    assert np.array_equal(mems[0].entries, generate(2, 4, "gaussian", 1).entries)
-
-
-def test_ensemble_spec_validation():
-    with pytest.raises(ParameterError):
-        EnsembleSpec(base_rows=2, base_cols=4, disorder="gaussian", base_seed=1,
-                     mode="suffix_resample", m=2, member_seeds=(1,), k=9)
-    with pytest.raises(ParameterError):
-        EnsembleSpec(base_rows=2, base_cols=4, disorder="gaussian", base_seed=1,
-                     mode="interpolate", m=2, member_seeds=(1, 2), angles=(0.0, 9.0))
-    with pytest.raises(UnsupportedDisorderError):
-        EnsembleSpec(base_rows=2, base_cols=4, disorder="rademacher", base_seed=1,
-                     mode="interpolate", m=1, member_seeds=(1,), angles=(0.0,))

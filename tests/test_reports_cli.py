@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 
@@ -64,14 +65,6 @@ def test_histogram_csv_format():
     total = sum(int(line.split(",")[2]) for line in lines[1:])
     s = sols.shape[0]
     assert total == s * (s - 1) // 2
-
-
-def test_emit_csv_of_rows(tmp_path):
-    rows = [{"seed": 1, "value": 2.5}, {"seed": 2, "value": 3.0}]
-    path = tmp_path / "rows.csv"
-    text = emit_report(rows, "csv", path)
-    assert text.splitlines()[0] == "seed,value"
-    assert path.read_text().splitlines()[1] == "1,2.5"
 
 
 def test_emit_report_validation(tmp_path):
@@ -284,8 +277,8 @@ def test_cli_successive_calls_get_fresh_namespaces(capsys):
     assert "solutions" not in json.loads(capsys.readouterr().out)
 
 
-def _raw_header(rows, cols):
-    header = {"rows": rows, "cols": cols, "disorder": "gaussian", "seed": 1, "body": "raw"}
+def _raw_header(rows, cols, disorder="gaussian"):
+    header = {"rows": rows, "cols": cols, "disorder": disorder, "seed": 1, "body": "raw"}
     return json.dumps(header).encode("ascii") + b"\n"
 
 
@@ -297,6 +290,15 @@ BAD_INSTANCE_FILES = {
     "short-raw-body": _raw_header(2, 3) + b"\0" * 47,
     "ragged-csv": (b'{"rows": 2, "cols": 3, "disorder": "rademacher", "seed": 1, '
                    b'"body": "csv"}\n1,-1,1\n-1,1\n'),
+    "bernoulli-without-p": (b'{"rows": 2, "cols": 3, "disorder": "bernoulli", "seed": 1, '
+                            b'"body": "csv"}\n0,1,1\n1,0,0\n'),
+    "rademacher-with-p": (b'{"rows": 2, "cols": 3, "disorder": "rademacher", "p": 0.5, '
+                          b'"seed": 1, "body": "csv"}\n1,-1,1\n-1,1,1\n'),
+    # 3 * (max absolute row sum) must fit in int64, the dtype of integer row sums
+    "int64-overflow-row": _raw_header(1, 5, "rademacher") + struct.pack(
+        "<5d", 3e18, 3e18, 3e18, 3e18, 1),
+    "integer-raw-body-holds-half": _raw_header(1, 3, "rademacher") + struct.pack(
+        "<3d", 1.0, 0.5, -1.0),
 }
 
 
@@ -305,9 +307,10 @@ def test_cli_malformed_instance_file_is_one_error_line(case, tmp_path, capsys):
     path = tmp_path / "inst.txt"
     if BAD_INSTANCE_FILES[case] is not None:
         path.write_bytes(BAD_INSTANCE_FILES[case])
-    assert main(["disc", "--in", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    for command in (["disc"], ["landscape", "xi-disc"]):
+        assert main([*command, "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_load_instance_raises_instance_format_error(tmp_path):
@@ -378,6 +381,7 @@ BAD_CONFIGS = {
     "seeds-int": json.dumps({**_GOOD_CONFIG, "seeds": 5}),
     "seeds-not-a-range": json.dumps({**_GOOD_CONFIG, "seeds": "a..b"}),
     "exact-with-kappa": json.dumps({**_GOOD_CONFIG, "kappa": 0.1}),
+    "gaussian-with-p": json.dumps({**_GOOD_CONFIG, "disorder": "gaussian", "p": 0.3}),
 }
 
 
