@@ -10,8 +10,9 @@ coordinate-parallel, and independent of evaluation order.
 disorder, p, a shape and a column offset to Philox.  ``generate`` (one
 seed), ``generate_batch`` (many seeds) and ``resample_suffix`` (the
 members' last k columns, in one batched call) all go through it.
-``_check_dims`` and ``_check_disorder`` are the one parameter rule; a
-loaded instance file and an experiment config obey it as well.
+``_check_dims``, ``_check_disorder`` and ``_seed_keys`` are the one
+parameter rule; a loaded instance file and an experiment config obey it
+as well.
 
 Correlated ensembles come in two flavours:
 
@@ -78,12 +79,28 @@ def _check_disorder(disorder, p) -> None:
         raise ParameterError(f"p is only meaningful for bernoulli disorder, got p={p!r}")
 
 
+def _seed_keys(seeds) -> np.ndarray:
+    """One seed or an array-like of seeds as uint64.  Every seed must be an
+    integer in [0, 2^64): a negative numpy seed would otherwise wrap and a
+    float one truncate.  A numpy integer array is checked by its dtype."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        keys = seeds
+        ok = keys.dtype.kind == "u" or not keys.size or keys.min() >= 0
+    else:
+        keys = np.asarray(seeds, dtype=object)
+        ok = all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                 and 0 <= s < 2**64 for s in keys.flat)
+    if not ok:
+        raise ParameterError(f"seeds must be integers in [0, 2^64), got {seeds!r}")
+    return keys.astype(np.uint64)
+
+
 def _draw(key, disorder: str, p: Optional[float], rows: int, cols: int,
           col_offset: int = 0) -> np.ndarray:
     """Entries (i, col_offset + j) for i < rows, j < cols: the one draw path.
 
-    ``key`` is a scalar seed, giving (rows, cols), or a (B, 1, 1) uint64
-    array of seeds, giving (B, rows, cols).
+    ``key`` is a 0-d uint64 seed, giving (rows, cols), or a (B, 1, 1)
+    uint64 array of seeds, giving (B, rows, cols).
     """
     r = np.arange(rows, dtype=np.uint64)[:, None]
     c = np.arange(col_offset, col_offset + cols, dtype=np.uint64)[None, :]
@@ -100,7 +117,7 @@ def generate(rows: int, cols: int, disorder: str, seed: int,
     """Generate a fresh instance; identical arguments give identical entries."""
     _check_dims(rows, cols)
     _check_disorder(disorder, p)
-    entries = _draw(seed, disorder, p, rows, cols)
+    entries = _draw(_seed_keys(seed), disorder, p, rows, cols)
     entries.setflags(write=False)
     return Instance(rows, cols, disorder, seed, entries, p)
 
@@ -115,11 +132,7 @@ def generate_batch(rows: int, cols: int, disorder: str, seeds,
     """
     _check_dims(rows, cols)
     _check_disorder(disorder, p)
-    try:
-        key = np.asarray(seeds, dtype=np.uint64)[:, None, None]
-    except OverflowError:
-        raise ParameterError(f"seeds must be 64-bit unsigned values, got {seeds!r}") from None
-    return _draw(key, disorder, p, rows, cols, col_offset)
+    return _draw(_seed_keys(seeds)[:, None, None], disorder, p, rows, cols, col_offset)
 
 
 def resample_suffix(base: Instance, k: int, m: int,
@@ -196,6 +209,8 @@ def save_instance(inst: Instance, path, body: str = "csv") -> None:
 
 
 _HEADER_KEYS = ("rows", "cols", "disorder", "body")
+# the only values an integer family's file may hold
+_FILE_VALUES = {"rademacher": (-1, 1), "bernoulli": (0, 1)}
 
 
 def _read_header(fh, path) -> dict:
@@ -250,27 +265,24 @@ def load_instance(path) -> Instance:
         raise InstanceFormatError(f"cannot read instance file {path}: "
                                   f"{exc.strerror or exc}") from None
     rows, cols = header["rows"], header["cols"]
-    integer = header["disorder"] in ("rademacher", "bernoulli")
+    values = _FILE_VALUES.get(header["disorder"])
     if header["body"] == "raw":
         need = rows * cols * 8
         if len(body) < need:
             raise InstanceFormatError(f"{path}: raw body holds {len(body)} bytes, "
                                       f"{rows}x{cols} float64 entries need {need}")
         entries = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols).copy()
-        if integer:
-            if not np.all((np.floor(entries) == entries) & (np.abs(entries) < 2.0**63)):
-                raise InstanceFormatError(f"{path}: {header['disorder']} raw body holds "
-                                          "a value that is not an int64 integer")
-            entries = entries.astype(np.int64)
     else:
-        entries = _parse_csv(body, rows, cols, integer, path)
-    if integer:
-        # disc_value and the cube scan sum integer rows in int64, which must
-        # hold 3*S for the largest absolute row sum S (see scan_precision)
-        s = max(sum(map(abs, row)) for row in entries.tolist())   # exact Python ints
-        if 3 * s > np.iinfo(np.int64).max:
-            raise InstanceFormatError(f"{path}: an absolute row sum reaches {s}; "
-                                      "integer entries need 3 times it to fit in int64")
+        entries = _parse_csv(body, rows, cols, values is not None, path)
+    if values is not None:
+        # a resampled ensemble mixes the file's prefix with fresh draws of the
+        # family, so the file must hold the family's values and no others
+        bad = np.argwhere(~np.isin(entries, values))
+        if bad.size:
+            i, j = bad[0]
+            raise InstanceFormatError(f"{path}: {header['disorder']} entry ({i}, {j}) is "
+                                      f"{entries[i, j]}, expected one of {values}")
+        entries = entries.astype(np.int64, copy=False)
     entries.setflags(write=False)
     return Instance(rows, cols, header["disorder"], header.get("seed"), entries,
                     header.get("p"))

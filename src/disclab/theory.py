@@ -22,9 +22,14 @@ from .errors import ParameterError
 
 _LOG2_2PI = math.log2(2.0 * math.pi)
 _PD_TOL = 1e-12
-# samples per Monte Carlo chunk: a chunk's draws span a few Philox tiles,
-# so the estimator's memory does not grow with the sample count
-_MC_CHUNK = 1 << 14
+# samples per Monte Carlo chunk.  A chunk keeps at most m float64 draws per
+# sample still inside the box, 256 KiB per coordinate, and twice that while
+# a row's draws are appended; Philox adds its fixed tile buffers.  So the
+# estimator's memory does not grow with the sample count.  2^16 was about
+# 15% faster at m = 3, but its 512 KiB arrays raised the benchmark's peak
+# RSS on one seed (50.3 -> 50.9 MB); at m = 3, 2^15 keeps every array below
+# the 384 KiB of a full draw of 2^14 samples.
+_MC_CHUNK = 1 << 15
 
 
 def prob_abs_z_le(kappa: float) -> float:
@@ -291,14 +296,19 @@ class McEstimate:
 
 
 def correlate(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """chol @ z for (m, k) samples z, summed over j = 0, 1, ... in that order
+    """chol @ z for (d, k) samples z, summed over j = 0, 1, ... in that order
     for every sample, so a sample's result does not depend on k.  A BLAS
     product does not promise that: it computes a one-sample product with
-    another kernel, which can differ in the last ulp."""
-    x = np.zeros_like(z)
-    term = np.empty_like(z[0])
+    another kernel, which can differ in the last ulp.
+
+    z may hold fewer rows than chol has columns; the columns past its d rows
+    are skipped and must be zero.  A skipped term is 0 * z_j = +-0, which
+    can change the sign of a zero sum but never its absolute value.
+    """
+    x = np.zeros((len(chol),) + z.shape[1:])
+    term = np.empty(z.shape[1:])
     for i, row in enumerate(chol):
-        for j, c in enumerate(row):
+        for j, c in enumerate(row[:len(z)]):
             x[i] += np.multiply(z[j], c, out=term)
     return x
 
@@ -307,17 +317,29 @@ def mc_box_probability(covariance, half_width: float, samples: int,
                        seed: int) -> McEstimate:
     """Monte Carlo estimate of P[max_i |Z_i| <= half_width], Z ~ N(0, cov).
 
-    Draws are indexed by (sample, dimension) counters and each sample is
-    transformed by ``correlate`` alone, so the estimate is independent of
-    any chunking of the sample loop.  Samples are streamed
-    in chunks of 2^14, so memory does not grow with ``samples``.
-    Degenerate (singular but PSD) covariances such as perfectly coupled
-    coordinates are accepted via an eigenvalue factorization; indefinite
-    input is an error.
+    Z = L z for a factor L of cov and standard normal z.  Draw z_j of
+    sample s is Philox block (s, j, 4), so a draw does not depend on which
+    other draws are made.  Samples go in chunks of ``_MC_CHUNK``, and a
+    chunk's coordinates are decided row by row: Z_i is ``correlate`` of L's
+    row i with z_0..z_reach[i], drawn only for the samples still inside the
+    box, and a sample leaves at its first |Z_i| > half_width.  The Cholesky
+    factor is lower triangular, so a narrow box draws few coordinates per
+    sample; a dense factor (the eigenvalue one) draws all m up front.
+
+    The estimate equals that of drawing all m coordinates of every sample
+    and counting: each Z_i a sample reaches is the same fixed-order sum,
+    and the terms it skips are exact zeros.  It therefore does not depend
+    on the chunk size either.  A chunk holds at most m float64 draws per
+    sample (see ``_MC_CHUNK``).  Degenerate (singular but PSD) covariances
+    such as perfectly coupled coordinates are accepted via an eigenvalue
+    factorization; indefinite input is an error.
     """
     if isinstance(covariance, CovarianceSpec):
         covariance = covariance.materialize()
     cov = np.asarray(covariance, dtype=np.float64)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
+        raise ParameterError(f"covariance must be a nonempty square matrix, "
+                             f"got shape {cov.shape}")
     if samples < 10_000:
         raise ParameterError(f"need at least 1e4 samples, got {samples}")
     try:
@@ -327,15 +349,27 @@ def mc_box_probability(covariance, half_width: float, samples: int,
         if w.min() < -_PD_TOL:
             raise ParameterError("covariance is not positive semidefinite") from exc
         chol = v * np.sqrt(np.clip(w, 0.0, None))
-    m = cov.shape[0]
+    # reach[i] is the largest column rows 0..i use (-1 if none): once Z_i is
+    # decided, the chunk holds z_0..z_reach[i] of every sample still inside
+    last = [np.flatnonzero(row)[-1] if row.any() else -1 for row in chol]
+    reach = np.maximum.accumulate(last)
+    dim = np.arange(cov.shape[0], dtype=np.uint64)[:, None]
     hits = 0
-    dim = np.arange(m, dtype=np.uint64)[:, None]
     for start in range(0, samples, _MC_CHUNK):
-        stop = min(samples, start + _MC_CHUNK)
-        idx = np.arange(start, stop, dtype=np.uint64)[None, :]
-        x = correlate(chol, philox.gaussians(seed, idx, dim, 4))
-        np.abs(x, out=x)
-        hits += int(np.count_nonzero(np.maximum.reduce(x, axis=0) <= half_width))
+        idx = np.arange(start, min(samples, start + _MC_CHUNK), dtype=np.uint64)
+        z = np.empty((0, idx.size))
+        for i, row in enumerate(chol):
+            if reach[i] >= len(z):
+                z = np.concatenate(
+                    [z, philox.gaussians(seed, idx[None, :], dim[len(z):reach[i] + 1], 4)])
+            x = correlate(row[None, :], z)[0]
+            # the indices of the samples inside: a take is several times
+            # faster than a boolean mask on a random pattern
+            keep = np.flatnonzero(np.abs(x, out=x) <= half_width)
+            idx, z = idx.take(keep), z.take(keep, axis=1)
+            if not idx.size:
+                break
+        hits += idx.size
     p = hits / samples
     se = math.sqrt(p * (1.0 - p) / samples)
     return McEstimate(estimate=p, std_error=se, samples=samples)

@@ -131,3 +131,24 @@ def potential_sign(lam, partial, column):
     plus = log_sum_cosh(lam * (partial + column))
     minus = log_sum_cosh(lam * (partial - column))
     return 1 if plus <= minus else -1
+
+
+def full_draw_box_probability(covariance, half_width, samples, seed, chunk=1 << 14):
+    """Monte Carlo P[max_i |Z_i| <= half_width] that draws all m coordinates
+    of every sample, correlates them, then counts the samples inside the
+    box.  Factor and draws as in ``theory.mc_box_probability``."""
+    from disclab import philox
+    from disclab.theory import correlate
+    cov = np.asarray(covariance, dtype=np.float64)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(cov)
+        chol = v * np.sqrt(np.clip(w, 0.0, None))
+    dim = np.arange(cov.shape[0], dtype=np.uint64)[:, None]
+    hits = 0
+    for start in range(0, samples, chunk):
+        idx = np.arange(start, min(samples, start + chunk), dtype=np.uint64)[None, :]
+        x = np.abs(correlate(chol, philox.gaussians(seed, idx, dim, 4)))
+        hits += int(np.count_nonzero(x.max(axis=0) <= half_width))
+    return hits / samples

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disclab import (CapacityError, Instance, ParameterError,
                      UnsupportedDisorderError, disc_value, enumerate_below,
-                     enumerate_solutions, exact_discrepancy, generate, load_instance,
-                     parse_sign_string, save_instance, sbp_membership, search_xi_sbp,
-                     sign_string)
+                     enumerate_solutions, exact_discrepancy, generate, parse_sign_string,
+                     sbp_membership, search_xi_sbp, sign_string)
 from disclab.discrepancy import (aligned_empty, codes_from_signs, scan_precision,
                                  signs_from_codes)
 from oracles import (gray_first_minimizer, naive_disc_value, naive_exact_value,
@@ -255,13 +254,13 @@ def test_aligned_empty_starts_on_a_cache_line(shape, dtype):
 
 @pytest.mark.parametrize("scale, dtype", [(1, np.int8), (100, np.int16), (10 ** 5, np.int32),
                                           (10 ** 9, np.int64)])
-def test_exact_matches_naive_in_every_integer_scan_dtype(scale, dtype, tmp_path):
+def test_exact_matches_naive_in_every_integer_scan_dtype(scale, dtype):
+    # integer entries beyond +-1 come only from the API: a rademacher file
+    # must hold +-1
     rng = np.random.default_rng(scale)
     for trial in range(3):
         entries = rng.integers(-scale, scale + 1, size=(5, 15), dtype=np.int64)
-        path = tmp_path / f"inst{trial}.txt"
-        save_instance(Instance(5, 15, "rademacher", trial, entries), path)
-        inst = load_instance(path)
+        inst = Instance(5, 15, "rademacher", trial, entries)
         assert scan_precision(inst.entries, 4)[0] == dtype
         res = exact_discrepancy(inst)
         assert res.value == naive_exact_value(inst.entries)
@@ -338,3 +337,49 @@ def test_enumerate_below_admits_a_vector_at_its_own_value(data):
     sigma = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=cols, max_size=cols))
     got = {tuple(r) for r in enumerate_below(inst, disc_value(inst, sigma).value).tolist()}
     assert tuple(sigma) in got and tuple(-s for s in sigma) in got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_enumeration_is_closed_under_flip(data):
+    rows = data.draw(st.integers(1, 5))
+    cols = data.draw(st.integers(1, 12))
+    disorder = data.draw(st.sampled_from(["gaussian", "rademacher", "bernoulli"]))
+    p = 0.4 if disorder == "bernoulli" else None
+    inst = generate(rows, cols, disorder, data.draw(st.integers(0, 2 ** 64 - 1)), p)
+    if disorder == "gaussian":
+        kappa = data.draw(st.floats(0.05, 3.0))
+        sols = enumerate_solutions(inst, kappa)
+        threshold = kappa * math.sqrt(cols)
+    else:
+        threshold = data.draw(st.integers(0, cols))
+        sols = enumerate_below(inst, threshold)
+    got = {tuple(r) for r in sols.tolist()}
+    assert len(got) == sols.shape[0]                       # no duplicates
+    assert all(tuple(-s for s in sigma) in got for sigma in got)
+    half = sols.shape[0] // 2                              # the stated order
+    assert np.array_equal(sols[half:], -sols[:half]) and np.all(sols[:half, 0] == 1)
+    assert got == naive_solution_set(inst.entries, threshold)
+
+
+def _kappa_at(value, n):
+    """A kappa > 0 with kappa * sqrt(n) == value in float64, or None."""
+    k = value / math.sqrt(n)
+    for cand in (k, math.nextafter(k, 0.0), math.nextafter(k, math.inf)):
+        if cand > 0 and cand * math.sqrt(n) == value:
+            return cand
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_vector_at_kappa_sqrt_n_is_a_member(data):
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 14))
+    inst = generate(rows, cols, "gaussian", data.draw(st.integers(0, 2 ** 64 - 1)))
+    sigma = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=cols, max_size=cols))
+    kappa = _kappa_at(disc_value(inst, sigma).value, cols)
+    assume(kappa is not None)
+    assert sbp_membership(inst, sigma, kappa)
+    assert tuple(sigma) in {tuple(r) for r in enumerate_solutions(inst, kappa).tolist()}
+    assert not sbp_membership(inst, sigma, math.nextafter(kappa, 0.0) * (1 - 1e-12))

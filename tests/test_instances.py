@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab import (ParameterError, UnsupportedDisorderError, generate, interpolate,
-                     load_instance, resample_suffix, save_instance)
+from disclab import (Instance, InstanceFormatError, ParameterError,
+                     UnsupportedDisorderError, generate, interpolate, load_instance,
+                     resample_suffix, save_instance)
 from disclab.instances import generate_batch
 
 
@@ -97,6 +98,33 @@ def test_parameter_errors():
         generate(2.0, 2, "gaussian", 1)
     with pytest.raises(ParameterError):
         generate(2, 2, "bernoulli", 1, p="0.5")
+
+
+def test_seeds_must_be_integers_in_range():
+    # a negative numpy seed would wrap to 2^64 - 1, a float seed truncate
+    for seeds in (np.array([-1]), np.array([3, -5], dtype=np.int32), [1.7], np.array([1.7]),
+                  [2**64], [-1], [True], np.array([True])):
+        with pytest.raises(ParameterError, match="seeds must be integers"):
+            generate_batch(2, 3, "gaussian", seeds)
+    for seed in (1.7, 1.0, -1, 2**64, np.int64(-1), np.float64(2.0), True):
+        with pytest.raises(ParameterError, match="seeds must be integers"):
+            generate(2, 3, "gaussian", seed)
+    with pytest.raises(ParameterError):
+        resample_suffix(generate(2, 3, "gaussian", 1), 1, 2, [0.5])
+
+
+def test_numpy_integer_seeds_draw_the_int_seed():
+    want = generate_batch(2, 3, "rademacher", [5, 2**63, 2**64 - 1])
+    for seeds in (np.array([5, 2**63, 2**64 - 1], dtype=np.uint64),
+                  (np.uint64(5), np.uint64(2**63), 2**64 - 1), range(5, 6)):
+        got = generate_batch(2, 3, "rademacher", seeds)
+        assert np.array_equal(got, want[:len(got)])
+    assert np.array_equal(generate_batch(2, 3, "rademacher", np.array([5], dtype=np.int8)),
+                          want[:1])
+    assert generate_batch(2, 3, "gaussian", []).shape == (0, 2, 3)
+    for seed in (np.int64(5), np.uint32(5), np.uint64(5)):
+        inst = generate(2, 3, "rademacher", seed)
+        assert np.array_equal(inst.entries, want[0]) and inst.seed == 5
 
 
 def test_resample_prefix_identity_exact():
@@ -200,6 +228,19 @@ def test_instance_file_roundtrip_csv(tmp_path):
         assert back.entries.dtype == inst.entries.dtype
         assert (back.rows, back.cols, back.disorder, back.seed, back.p) == \
                (inst.rows, inst.cols, inst.disorder, inst.seed, inst.p)
+
+
+def test_instance_file_holds_only_its_family_values(tmp_path):
+    path = tmp_path / "inst.txt"
+    for disorder, p, bad in (("rademacher", None, 5), ("rademacher", None, 0),
+                             ("bernoulli", 0.5, -1), ("bernoulli", 0.5, 2)):
+        for body in ("csv", "raw"):
+            inst = generate(2, 4, disorder, 9, p)
+            entries = np.array(inst.entries)
+            entries[1, 2] = bad
+            save_instance(Instance(2, 4, disorder, 9, entries, p), path, body=body)
+            with pytest.raises(InstanceFormatError, match=r"entry \(1, 2\) is"):
+                load_instance(path)
 
 
 def test_instance_file_roundtrip_raw(tmp_path):

@@ -307,3 +307,18 @@ def test_online_reports_direct_product(alg):
         sums = inst.entries @ res.sigma.astype(np.float64)
         assert np.array_equal(res.row_sums, sums)
         assert res.value == float(np.max(np.abs(sums)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alg=st.sampled_from(ALGORITHMS), m=st.integers(1, 6), n=st.integers(1, 40),
+       disorder=st.sampled_from(["gaussian", "rademacher", "bernoulli"]),
+       seed=st.integers(0, 2**64 - 1), omega=st.integers(0, 2**64 - 1), data=st.data())
+def test_online_run_on_a_prefix_gives_the_prefix_signs(alg, m, n, disorder, seed, omega,
+                                                      data):
+    # coordinate t sees columns 1..t only, so the first t columns alone
+    # give the first t signs of the full run
+    p = 0.5 if disorder == "bernoulli" else None
+    t = data.draw(st.integers(1, n))
+    full = run_online(make_algorithm(alg), generate(m, n, disorder, seed, p), omega)
+    head = run_online(make_algorithm(alg), generate(m, t, disorder, seed, p), omega)
+    assert np.array_equal(head.sigma, full.sigma[:t])

@@ -294,11 +294,17 @@ BAD_INSTANCE_FILES = {
                             b'"body": "csv"}\n0,1,1\n1,0,0\n'),
     "rademacher-with-p": (b'{"rows": 2, "cols": 3, "disorder": "rademacher", "p": 0.5, '
                           b'"seed": 1, "body": "csv"}\n1,-1,1\n-1,1,1\n'),
-    # 3 * (max absolute row sum) must fit in int64, the dtype of integer row sums
+    # a rademacher file holds only -1 and +1, a bernoulli file only 0 and 1
     "int64-overflow-row": _raw_header(1, 5, "rademacher") + struct.pack(
         "<5d", 3e18, 3e18, 3e18, 3e18, 1),
     "integer-raw-body-holds-half": _raw_header(1, 3, "rademacher") + struct.pack(
         "<3d", 1.0, 0.5, -1.0),
+    "rademacher-csv-of-fives": (b'{"rows": 1, "cols": 12, "disorder": "rademacher", '
+                                b'"seed": 1, "body": "csv"}\n' + b",".join([b"5"] * 12)
+                                + b"\n"),
+    "bernoulli-csv-holds-minus-one": (b'{"rows": 2, "cols": 3, "disorder": "bernoulli", '
+                                      b'"p": 0.5, "seed": 1, "body": "csv"}\n'
+                                      b'0,1,1\n1,-1,0\n'),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from disclab import philox
+from disclab import philox, theory
 from disclab.theory import correlate
 from disclab import (CovarianceSpec, ParameterError, alpha_c, berry_esseen_bound,
                      binary_entropy, box_probability_quadrature, build_covariance,
@@ -12,6 +12,7 @@ from disclab import (CovarianceSpec, ParameterError, alpha_c, berry_esseen_bound
                      expected_tuple_count_general, expected_xi_count,
                      find_ogp_params, gaussian_box_bound, mc_box_probability,
                      prob_abs_z_le, psi_disc, psi_sbp, stable_constants, upsilon)
+from oracles import full_draw_box_probability
 
 
 # -- critical density ---------------------------------------------------------
@@ -235,6 +236,62 @@ def test_correlate_sample_does_not_depend_on_chunk_size(m):
 def test_mc_box_validation():
     with pytest.raises(ParameterError):
         mc_box_probability(np.eye(2), 1.0, 5000, seed=1)
+    for cov in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(ParameterError, match="square"):
+            mc_box_probability(cov, 1.0, 10_000, seed=1)
+
+
+def _random_pd(m, seed):
+    a = np.random.default_rng(seed).standard_normal((m, m))
+    return a @ a.T / m + 0.05 * np.eye(m)
+
+
+_RANK_2 = np.random.default_rng(7).standard_normal((4, 2))
+MC_COVARIANCES = {
+    **{f"pd-m{m}": _random_pd(m, 100 + m) for m in range(1, 7)},
+    "equicorrelated-m3": build_covariance(3, 0.8, [0.0] * 3),
+    "all-ones-m3": np.ones((3, 3)),                # eigh factor, rank 1
+    "rank-2-m4": _RANK_2 @ _RANK_2.T,              # eigh factor, rank-deficient
+    "zero-row-1": np.diag([1.0, 0.0, 2.0]),        # factor row 1 is all zero
+    "zero-row-0": np.diag([0.0, 1.0, 0.5]),        # factor row 0 is all zero
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_COVARIANCES))
+@pytest.mark.parametrize("half_width", [0.05, 0.5, 1.3, 50.0])
+def test_mc_box_equals_full_draw_oracle(name, half_width):
+    # the row-by-row draw counts exactly the hits of drawing every coordinate
+    cov = MC_COVARIANCES[name]
+    for samples in (10_007, theory._MC_CHUNK + 4321):
+        seed = 1000 * len(name) + samples
+        est = mc_box_probability(cov, half_width, samples, seed)
+        assert est.estimate == full_draw_box_probability(cov, half_width, samples, seed)
+
+
+def _count_gaussian_blocks(monkeypatch):
+    drawn = []
+    def counting(*args):
+        z = gaussians(*args)
+        drawn.append(z.size)
+        return z
+    gaussians = philox.gaussians
+    monkeypatch.setattr(philox, "gaussians", counting)
+    return drawn
+
+
+def test_mc_box_draws_coordinates_only_inside_the_box(monkeypatch):
+    drawn = _count_gaussian_blocks(monkeypatch)
+    cov, samples = build_covariance(3, 0.8, [0.0] * 3), 100_000
+    narrow = mc_box_probability(cov, 0.5, samples, seed=5)
+    assert sum(drawn) < 2 * samples                # about 1.6 per sample, against 3
+    drawn.clear()
+    wide = mc_box_probability(cov, 50.0, samples, seed=5)
+    assert sum(drawn) == 3 * samples and wide.estimate == 1.0
+    drawn.clear()
+    mc_box_probability(np.ones((3, 3)), 0.5, samples, seed=5)
+    assert sum(drawn) == 3 * samples               # a dense factor draws all up front
+    monkeypatch.undo()
+    assert narrow.estimate == full_draw_box_probability(cov, 0.5, samples, 5)
 
 
 def test_equicorrelated_quadrature_vs_mc():
