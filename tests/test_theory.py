@@ -268,19 +268,13 @@ def test_mc_box_equals_full_draw_oracle(name, half_width):
         assert est.estimate == full_draw_box_probability(cov, half_width, samples, seed)
 
 
-def _count_gaussian_blocks(monkeypatch):
-    drawn = []
+def test_mc_box_draws_coordinates_only_inside_the_box(monkeypatch):
+    drawn, gaussians = [], philox.gaussians
     def counting(*args):
         z = gaussians(*args)
         drawn.append(z.size)
         return z
-    gaussians = philox.gaussians
     monkeypatch.setattr(philox, "gaussians", counting)
-    return drawn
-
-
-def test_mc_box_draws_coordinates_only_inside_the_box(monkeypatch):
-    drawn = _count_gaussian_blocks(monkeypatch)
     cov, samples = build_covariance(3, 0.8, [0.0] * 3), 100_000
     narrow = mc_box_probability(cov, 0.5, samples, seed=5)
     assert sum(drawn) < 2 * samples                # about 1.6 per sample, against 3
