@@ -25,10 +25,9 @@ _PD_TOL = 1e-12
 # samples per Monte Carlo chunk.  A chunk keeps at most m float64 draws per
 # sample still inside the box, 256 KiB per coordinate, and twice that while
 # a row's draws are appended; Philox adds its fixed tile buffers.  So the
-# estimator's memory does not grow with the sample count.  2^16 was about
-# 15% faster at m = 3, but its 512 KiB arrays raised the benchmark's peak
-# RSS on one seed (50.3 -> 50.9 MB); at m = 3, 2^15 keeps every array below
-# the 384 KiB of a full draw of 2^14 samples.
+# estimator's memory does not grow with the sample count.  At m = 3, 2^16
+# was about 15% faster, but an estimate's traced peak was 2.27 MB against
+# 1.86 MB for the old full draw of 2^14-sample chunks; 2^15 gives 1.57 MB.
 _MC_CHUNK = 1 << 15
 
 
