@@ -82,15 +82,10 @@ def _check_disorder(disorder, p) -> None:
 def _seed_keys(seeds) -> np.ndarray:
     """One seed or an array-like of seeds as uint64.  Every seed must be an
     integer in [0, 2^64): a negative numpy seed would otherwise wrap and a
-    float one truncate.  A numpy integer array is checked by its dtype."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
-        keys = seeds
-        ok = keys.dtype.kind == "u" or not keys.size or keys.min() >= 0
-    else:
-        keys = np.asarray(seeds, dtype=object)
-        ok = all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
-                 and 0 <= s < 2**64 for s in keys.flat)
-    if not ok:
+    float one truncate."""
+    keys = np.asarray(seeds, dtype=object)
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+               and 0 <= s < 2**64 for s in keys.flat):
         raise ParameterError(f"seeds must be integers in [0, 2^64), got {seeds!r}")
     return keys.astype(np.uint64)
 
@@ -99,8 +94,8 @@ def _draw(key, disorder: str, p: Optional[float], rows: int, cols: int,
           col_offset: int = 0) -> np.ndarray:
     """Entries (i, col_offset + j) for i < rows, j < cols: the one draw path.
 
-    ``key`` is a 0-d uint64 seed, giving (rows, cols), or a (B, 1, 1)
-    uint64 array of seeds, giving (B, rows, cols).
+    ``key`` is a uint64 seed, giving (rows, cols), or a (B, 1, 1) uint64
+    array of seeds, giving (B, rows, cols).
     """
     r = np.arange(rows, dtype=np.uint64)[:, None]
     c = np.arange(col_offset, col_offset + cols, dtype=np.uint64)[None, :]

@@ -363,9 +363,11 @@ def mc_box_probability(covariance, half_width: float, samples: int,
                     [z, philox.gaussians(seed, idx[None, :], dim[len(z):reach[i] + 1], 4)])
             x = correlate(row[None, :], z)[0]
             # the indices of the samples inside: a take is several times
-            # faster than a boolean mask on a random pattern
+            # faster than a boolean mask on a random pattern, and a row that
+            # every sample survives (a wide box) needs no copy at all
             keep = np.flatnonzero(np.abs(x, out=x) <= half_width)
-            idx, z = idx.take(keep), z.take(keep, axis=1)
+            if keep.size < idx.size:
+                idx, z = idx.take(keep), z.take(keep, axis=1)
             if not idx.size:
                 break
         hits += idx.size
