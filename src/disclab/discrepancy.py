@@ -27,8 +27,9 @@ candidates' norms in walk order.
 Scan dtype (``scan_precision``).  Let S = max_i sum_j |M_ij|; every row
 sum, prefix or suffix sum of a candidate is at most S in absolute value,
 and a table entry at most 2S.  Integer entries are scanned in the
-narrowest of int8, int16 and int32 that holds 3S, else in int64, so the
-scan is exact; values are reported in int64.  Float entries are scanned
+narrowest of int8, int16, int32 and int64 that holds 3S, so the scan is
+exact, and an instance with 3S beyond int64 is refused with a
+``ParameterError``; values are reported in int64.  Float entries are scanned
 in float32 (float64 if 3S overflows it).  The tables are built in the
 wide dtype (int64 or float64) and cast once; the high-bit running sums
 stay wide and are cast once per block, so the drift along the walk is
@@ -89,6 +90,7 @@ from .instances import Instance
 
 EXACT_MAX_N = 30
 ENUMERATE_MAX_N = 26
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 _BLOCK_BITS = 12
 
@@ -160,11 +162,30 @@ class DiscrepancyResult:
     row_sums: np.ndarray            # M * sigma for that vector
 
 
+def _max_row_l1(entries: np.ndarray) -> int:
+    """S = max_i sum_j |M_ij| of integer-valued entries, exactly.  A float64
+    sum of integers that comes out below 2^53 is exact (every partial sum is
+    smaller); a larger one is redone in Python integers."""
+    s = float(np.abs(entries, dtype=np.float64).sum(axis=1).max())
+    if s < 2.0 ** 53:
+        return int(s)
+    return max(sum(abs(int(x)) for x in row) for row in np.asarray(entries).tolist())
+
+
 def _work_entries(inst: Instance) -> np.ndarray:
-    # int64 keeps rademacher/bernoulli arithmetic exact
+    # int64 keeps rademacher/bernoulli arithmetic exact while S fits in it:
+    # no row sum, nor any partial sum of one, exceeds S in absolute value
     if inst.disorder == "gaussian":
         return np.asarray(inst.entries, dtype=np.float64)
-    return np.asarray(inst.entries, dtype=np.int64)
+    entries = np.asarray(inst.entries)
+    # n * max |M_ij| bounds S with no temporary the size of the entries
+    if entries.size and entries.shape[-1] * max(-float(entries.min()),
+                                                 float(entries.max())) >= 2.0 ** 62:
+        s = _max_row_l1(entries)
+        if s > _INT64_MAX:
+            raise ParameterError(f"integer row sums may leave int64: the largest row l1 "
+                                 f"norm is {s}, above {_INT64_MAX}")
+    return np.asarray(entries, dtype=np.int64)
 
 
 def _native_value(x):
@@ -207,12 +228,13 @@ def scan_precision(entries: np.ndarray, steps: int) -> tuple[np.dtype, float]:
     """(scan dtype, slack) of a cube scan over int64 or float64 ``entries``
     whose wide running sums take ``steps`` additions; the module docstring
     states the dtype rule and proves the slack bound."""
-    s = float(np.abs(entries).sum(axis=1, dtype=np.float64).max())   # no int64 wrap
     if entries.dtype.kind in "iu":
-        for dtype in (np.int8, np.int16, np.int32):
+        s = _max_row_l1(entries)
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
             if 3 * s <= np.iinfo(dtype).max:
                 return np.dtype(dtype), 0
-        return np.dtype(np.int64), 0
+        raise ParameterError(f"an integer cube scan needs 3 S within int64, but S = {s}")
+    s = float(np.abs(entries).sum(axis=1, dtype=np.float64).max())   # no int64 wrap
     dtype = np.dtype(np.float32 if 3 * s <= float(np.finfo(np.float32).max) else np.float64)
     eps, tiny = float(np.finfo(dtype).eps), float(np.finfo(dtype).smallest_subnormal)
     terms = steps + 4 * entries.shape[1]

@@ -1,30 +1,40 @@
 """Online column-signing algorithms and the harness that runs them.
 
 An online algorithm assigns the sign of coordinate t after seeing columns
-1..t only.  The harness enforces this structurally: it feeds one column
-at a time and the step function receives nothing but its own scratch
-state, the running signed column sums, and the new column.
-
-Step protocol.  ``run_online_batch`` runs B instances of one shape side by
+1..t only.  ``run_online_batch`` runs B instances of one shape side by
 side and is the only loop that feeds columns; ``run_online`` is its case
-B = 1.  ``alg.start(rows, omegas)`` gets the row count M and one auxiliary
-seed per instance, and returns the scratch state.  At step t,
-``alg.step(scratch, partial_sums, column)`` gets read-only (B, M) views
-of the running sums and of column t of every instance, and returns B
-signs, or one scalar sign that broadcasts to all B.  Steps reduce over
-axis -1, so a (M,) call is the single-instance case.  The contract (every
-sign exactly -1 or +1) is checked once per run, not once per step: the
-raw step outputs are kept in a float64 buffer, which cannot truncate 1.5
-to 1, and after the last column anything else raises
-``ContractViolationError`` naming the first bad step and batch row.
+B = 1.  It copies the columns, a block at a time, into a contiguous
+read-only (k, B, M) buffer.  ``alg.start(rows, omegas)`` gets the row
+count M and one auxiliary seed per instance and returns the scratch state.
 
-Shipped steps:
+Step protocol.  ``alg.step(scratch, partial_sums, column)`` is called for
+each column t in order, with read-only (B, M) views of the running signed
+sums and of column t, and returns B signs or one scalar sign that
+broadcasts.  Steps reduce over axis -1, so a (M,) call is the
+single-instance case.  Column t+1 has not been handed over yet, so a step
+reads columns 1..t only by construction.
 
-* greedy    -- pick the sign minimizing the max-norm of the updated sums;
-* potential -- pick the sign minimizing sum_i cosh(lambda * w_i), a
+Block protocol.  An algorithm whose sign t depends only on its scratch
+state, t and column t may define ``alg.sign_block(scratch, t0, columns)``
+instead: it gets a block's (k, B, M) columns t0..t0+k-1 and returns the
+(k, B) signs, and the harness keeps no running sums.  The signer sees the
+whole block, so that sign t reads column t only is a contract, not a
+structural guarantee; the prefix tests, run across block boundaries,
+check it.
+
+Every sign must be exactly -1 or +1.  Raw outputs are kept in a float64
+buffer, which cannot truncate 1.5 to 1, and checked once per run; an
+output of the wrong shape or type fails at once.  Either way the
+``ContractViolationError`` names the algorithm and the step.
+
+Shipped algorithms:
+
+* greedy    -- (step) pick the sign minimizing the max-norm of the
+  updated sums;
+* potential -- (step) pick the sign minimizing sum_i cosh(lambda * w_i), a
   softmax-style surrogate for the max-norm (ties go to +1 in both);
-* random    -- a column-hash-keyed coin flip; it ignores the geometry but
-  is still a deterministic function of (aux seed, columns seen so far).
+* random    -- (block) a column-hash-keyed coin flip; it ignores the
+  geometry but is a deterministic function of (aux seed, t, column t).
 """
 
 from __future__ import annotations
@@ -38,14 +48,17 @@ import numpy as np
 from . import philox
 from .discrepancy import _native_value, _work_entries
 from .errors import ContractViolationError, ParameterError
-from .instances import Instance
+from .instances import Instance, _seed_keys
 
 _LOG2 = float(np.log(2.0))
-# last counter word of the random step's Philox blocks
+# last counter word of the random signer's Philox blocks
 _RANDOM_TAG = 3
-# entries of the harness's buffer of contiguous (B, M) columns; a strided
-# column view makes every ufunc of a step about twice as slow at B = 1
-_COLUMN_BLOCK = 1 << 14
+# A column block holds at most _COLUMN_BLOCK entries and _BLOCK_COLUMNS
+# instance columns.  A strided column view makes every ufunc of a step about
+# twice as slow at B = 1.  The column cap bounds a block signer's
+# temporaries: random keeps about 100 bytes per instance column.
+_COLUMN_BLOCK = 1 << 13
+_BLOCK_COLUMNS = 1 << 9
 _PLUS_MINUS = np.array([-1, 1])
 
 
@@ -108,36 +121,32 @@ class PotentialOnline:
         return _signs_of(log_phi[0] <= log_phi[1])
 
 
-def _random_counter(t: int, column: np.ndarray) -> tuple[int, int, int, int]:
-    """Philox counter (t, lo, hi, 3) of the random step at time t, with
-    (lo, hi) the 32-bit words of a BLAKE2b hash of the column's bytes."""
-    h = hashlib.blake2b(np.ascontiguousarray(column).tobytes(), digest_size=8).digest()
-    v = int.from_bytes(h, "little")
-    return t, v & 0xFFFFFFFF, v >> 32, _RANDOM_TAG
-
-
 class RandomSigningOnline:
     """Uniform signs keyed by (aux seed, step index, hash of the new column).
 
-    Mixing the column hash into the counter makes the output sensitive to
-    the instance (independent instances get independent signs) while
-    remaining a deterministic function of the columns seen so far.  Each
-    instance of a batch uses the key of its own aux seed.
+    Sign t is the low bit of word 0 of the Philox block with counter
+    (t, lo, hi, 3) under the instance's aux seed, where (lo, hi) are the
+    32-bit words of the 8-byte BLAKE2b digest of column t's bytes as the
+    harness holds them (int64 or float64), read little-endian.  Mixing the
+    column hash into the counter makes the output sensitive to the
+    instance (independent instances get independent signs) while keeping
+    it a deterministic function of the columns seen so far.  A block takes
+    one ``philox.signs`` call, each instance under the key of its own seed.
     """
 
     name = "random"
 
     def start(self, rows: int, omegas=(0,)):
-        keys = [tuple(int(k) for k in philox.split_key(o)) for o in omegas]
-        return {"keys": keys, "rows": rows, "t": 0}
+        return _seed_keys(omegas)
 
-    def step(self, scratch, partial_sums, column):
-        keys, t = scratch["keys"], scratch["t"]
-        scratch["t"] = t + 1
-        cols = np.reshape(column, (len(keys), scratch["rows"]))
-        # the low bit of word 0, as philox.signs folds it
-        return [1 - 2 * (philox.philox4x32_scalar(_random_counter(t, c), key)[0] & 1)
-                for key, c in zip(keys, cols)]
+    def sign_block(self, seeds, t0, columns):
+        k, b, m = columns.shape
+        counters = np.full((k, b, 4), _RANDOM_TAG, dtype=np.uint64)
+        counters[..., 0] = np.arange(t0, t0 + k)[:, None]
+        digests = np.fromiter((hashlib.blake2b(col, digest_size=8).digest()
+                               for col in columns.reshape(k * b, m)), dtype="S8", count=k * b)
+        counters[..., 1:3] = digests.view("<u4").reshape(k, b, 2)
+        return philox.signs(seeds, *np.moveaxis(counters, -1, 0))
 
 
 ALGORITHMS = ("greedy", "potential", "random")
@@ -163,6 +172,40 @@ def _check_steps(alg, steps: np.ndarray) -> None:
             f"(algorithm {alg.name!r}, step {t}, batch row {i})")
 
 
+def _block_width(b: int, m: int) -> int:
+    """Columns per block for B instances of M rows (the last may be shorter)."""
+    return max(1, min(_COLUMN_BLOCK // max(1, b * m), _BLOCK_COLUMNS // max(1, b)))
+
+
+def _column_steps(alg, per: int, b: int, m: int, dtype):
+    """The ``sign_block`` of a step algorithm: feed the block's columns to
+    ``alg.step`` one at a time, keeping the running signed sums."""
+    partial = np.zeros((b, m), dtype=dtype)
+    partial_view = partial.view()
+    partial_view.setflags(write=False)
+    raw = np.empty((per, b), dtype=np.float64)
+    signs = raw if dtype == np.float64 else np.empty((per, b), dtype=dtype)
+    sign_cols = signs[:, :, None]
+    step = alg.step
+
+    def sign_block(scratch, t0, columns):
+        nonlocal partial                  # += is in place, and cheaper than np.add(out=)
+        for j, col in enumerate(columns):
+            s = step(scratch, partial_view, col)
+            try:
+                raw[j] = s
+                if signs is not raw:
+                    signs[j] = s
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ContractViolationError(
+                    f"online step returned {s!r}, expected -1 or +1 for each of {b} "
+                    f"instances (algorithm {alg.name!r}, step {t0 + j})") from exc
+            partial += sign_cols[j] * col
+        return raw[:len(columns)]
+
+    return sign_block
+
+
 def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
     """Run ``alg`` on B instances at once; the only loop that feeds columns.
 
@@ -184,35 +227,28 @@ def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.n
     b, m, n = work.shape
     if len(omegas) != b:
         raise ParameterError(f"need one omega per instance: {len(omegas)} for {b}")
-    partial = np.zeros((b, m), dtype=work.dtype)
-    partial_view = partial.view()
-    partial_view.setflags(write=False)
     steps = np.empty((n, b), dtype=np.float64)
-    signs = steps if work.dtype == np.float64 else np.empty((n, b), dtype=work.dtype)
-    sign_cols = signs[:, :, None]
-    per = max(1, min(n, _COLUMN_BLOCK // max(1, b * m)))
+    per = max(1, min(n, _block_width(b, m)))
     block = np.empty((per, b, m), dtype=work.dtype)
-    block_view = block.view()              # what steps see is read-only
+    block_view = block.view()              # what algorithms see is read-only
     block_view.setflags(write=False)
     scratch = alg.start(m, omegas)
-    step = alg.step
+    sign_block = getattr(alg, "sign_block", None) or _column_steps(alg, per, b, m, work.dtype)
     for t0 in range(0, n, per):
         k = min(per, n - t0)
         np.copyto(block[:k], work[:, :, t0:t0 + k].transpose(2, 0, 1))
-        for t, col in enumerate(block_view[:k], t0):
-            s = step(scratch, partial_view, col)
-            try:
-                steps[t] = s
-                if signs is not steps:
-                    signs[t] = s
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ContractViolationError(
-                    f"online step returned {s!r}, expected -1 or +1 for each of {b} "
-                    f"instances (algorithm {alg.name!r}, step {t})") from exc
-            partial += sign_cols[t] * col
+        s = sign_block(scratch, t0, block_view[:k])
+        try:
+            if np.shape(s) != (k, b):
+                raise ValueError(f"shape {np.shape(s)}")
+            steps[t0:t0 + k] = s
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ContractViolationError(
+                f"online sign_block returned {exc}, expected a ({k}, {b}) array of -1 "
+                f"and +1 (algorithm {alg.name!r}, step {t0})") from exc
     _check_steps(alg, steps)
     sigma = np.ascontiguousarray(steps.T, dtype=np.int8)
-    sums = np.empty_like(partial)
+    sums = np.empty((b, m), dtype=work.dtype)
     for i in range(b):
         sums[i] = work[i] @ sigma[i].astype(work.dtype)
     return sigma, sums
@@ -226,16 +262,8 @@ def run_online(alg, inst: Instance, omega: int = 0) -> OnlineResult:
 
 
 def random_signing(inst: Instance, seed: int) -> np.ndarray:
-    """Sign vector of the 'random' online algorithm on this instance.
-
-    The random step ignores the partial sums, so all n columns are signed
-    in one vectorized Philox call; sign-for-sign identical to feeding
-    RandomSigningOnline through run_online with omega=seed.
-    """
-    entries = _work_entries(inst)          # the harness hashes these bytes too
-    counters = np.array([_random_counter(t, entries[:, t]) for t in range(inst.cols)],
-                        dtype=np.uint64)
-    return philox.signs(seed, *counters.T).astype(np.int8)
+    """Sign vector (int8) of RandomSigningOnline run on ``inst`` with aux seed ``seed``."""
+    return run_online(RandomSigningOnline(), inst, seed).sigma
 
 
 def run_greedy_batch(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,10 @@ those two, producing one standard normal per block.
 ``philox4x32`` evaluates a broadcast grid of blocks in one of two ways:
 
 * a grid of one block runs the ten rounds on plain Python integers
-  (``philox4x32_scalar``).  The online ``random`` step and
-  ``derive_seed`` draw one block per call and take this path;
+  (``philox4x32_scalar``).  ``derive_seed`` is the one caller that draws
+  a single block per call; the others reach this path only when a grid
+  happens to hold one block (the online ``random`` signer draws a whole
+  column block per call);
 * a larger grid is cut, in C order, into tiles of at most ``TILE`` = 2^14
   blocks.  A tile's counters, and its keys when the key is an array, are
   copied into uint64 buffers allocated once per call, and every round

@@ -5,6 +5,7 @@ matrix product) and never touches the incremental / prefix-sharing code
 paths it is checking.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -131,6 +132,23 @@ def potential_sign(lam, partial, column):
     plus = log_sum_cosh(lam * (partial + column))
     minus = log_sum_cosh(lam * (partial - column))
     return 1 if plus <= minus else -1
+
+
+def random_signs(entries, omega):
+    """RandomSigningOnline's signs by its per-column definition: sign t is
+    the low bit of word 0 of the scalar Philox block (t, lo, hi, 3) under
+    key omega, with (lo, hi) the 32-bit halves of the little-endian 8-byte
+    BLAKE2b digest of column t's bytes (entries as int64 or float64)."""
+    from disclab import philox
+    entries = np.asarray(entries)
+    key = (int(omega) & 0xFFFFFFFF, int(omega) >> 32)
+    out = []
+    for t in range(entries.shape[1]):
+        raw = np.ascontiguousarray(entries[:, t]).tobytes()
+        v = int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
+        word = philox.philox4x32_scalar((t, v & 0xFFFFFFFF, v >> 32, 3), key)[0]
+        out.append(1 - 2 * (word & 1))
+    return np.array(out, dtype=np.int8)
 
 
 def full_draw_box_probability(covariance, half_width, samples, seed, chunk=1 << 14):

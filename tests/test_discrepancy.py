@@ -383,3 +383,19 @@ def test_a_vector_at_kappa_sqrt_n_is_a_member(data):
     assert sbp_membership(inst, sigma, kappa)
     assert tuple(sigma) in {tuple(r) for r in enumerate_solutions(inst, kappa).tolist()}
     assert not sbp_membership(inst, sigma, math.nextafter(kappa, 0.0) * (1 - 1e-12))
+
+
+def test_disc_value_refuses_row_sums_beyond_int64():
+    # all-plus row sum 12000000000000000001 used to wrap to 6446744073709551615
+    inst = _inst([[3 * 10**18] * 4 + [1]])
+    with pytest.raises(ParameterError, match="int64"):
+        disc_value(inst, [1] * 5)
+
+
+def test_int64_row_sum_limits_are_exact():
+    # S = 2^63 - 1 fits (its float64 sum rounds to 2^63); the scan needs 3 S
+    inst = _inst([[2**62, 2**62 - 1]])
+    assert disc_value(inst, [1, 1]).value == 2**63 - 1
+    with pytest.raises(ParameterError, match="3 S"):
+        exact_discrepancy(inst)
+    assert exact_discrepancy(_inst([[10**18, 10**18 + 1, 1]])).value == 0

@@ -9,7 +9,8 @@ from disclab import (ALGORITHMS, ContractViolationError, GreedyOnline, Instance,
                      ParameterError, PotentialOnline, RandomSigningOnline,
                      generate, generate_batch, make_algorithm, philox, random_signing,
                      resample_suffix, run_greedy_batch, run_online, run_online_batch)
-from oracles import potential_sign
+from disclab.online import _block_width
+from oracles import potential_sign, random_signs
 
 
 class ConstantPlus:
@@ -243,15 +244,17 @@ def test_random_signing_matches_online_path():
         fast = random_signing(inst, 17)
         slow = run_online(RandomSigningOnline(), inst, omega=17).sigma
         assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, random_signs(inst.entries, 17))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.float64])
 def test_random_signing_keys_on_working_dtype(dtype):
-    # both paths hash the column as the harness holds it (int64 or float64)
+    # the column is hashed as the harness holds it (int64 or float64)
     entries = generate(3, 40, "rademacher", 4).entries.astype(dtype)
     inst = Instance(3, 40, "rademacher", 4, entries)
     want = run_online(RandomSigningOnline(), inst, omega=9).sigma
     assert np.array_equal(random_signing(inst, 9), want)
+    assert np.array_equal(want, random_signs(entries.astype(np.int64), 9))
 
 
 def test_random_signing_determinism_and_seed_sensitivity():
@@ -322,3 +325,82 @@ def test_online_run_on_a_prefix_gives_the_prefix_signs(alg, m, n, disorder, seed
     full = run_online(make_algorithm(alg), generate(m, n, disorder, seed, p), omega)
     head = run_online(make_algorithm(alg), generate(m, t, disorder, seed, p), omega)
     assert np.array_equal(head.sigma, full.sigma[:t])
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("disorder", ["gaussian", "rademacher"])      # float64, int64
+def test_random_signs_equal_the_per_column_definition(b, disorder):
+    m = 4
+    n = 2 * _block_width(b, m) + 5            # two full column blocks and a ragged one
+    entries = generate_batch(m, n, disorder, np.arange(b) + 70)
+    omegas = np.array([philox.derive_seed(71, i) for i in range(b)], dtype=np.uint64)
+    signs, _ = run_online_batch(RandomSigningOnline(), entries, omegas)
+    for i in range(b):
+        assert np.array_equal(signs[i], random_signs(entries[i], omegas[i])), i
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_prefix_property_across_column_blocks(alg):
+    m = 32
+    per = _block_width(1, m)
+    n = 2 * per + 40                          # three column blocks
+    base = generate(m, n, "gaussian", 1234)
+    ra = run_online(make_algorithm(alg), base, omega=5)
+    for t in (per - 1, per, per + 1):
+        # a sign that read one column too far would still match with
+        # probability about 1/2 per suffix, so try eight
+        for other in resample_suffix(base, n - t, 9, [10 * t + j for j in range(8)])[1:]:
+            assert not np.array_equal(base.entries[:, t:], other.entries[:, t:])
+            rb = run_online(make_algorithm(alg), other, omega=5)
+            assert np.array_equal(ra.sigma[:t], rb.sigma[:t]), t
+
+
+class BlockReturns:
+    """A block signer returning ``make(t0, k, b)`` for the block at t0."""
+
+    name = "block-returns"
+
+    def __init__(self, make):
+        self.make = make
+
+    def start(self, rows, omegas=(0,)):
+        return len(omegas)
+
+    def sign_block(self, scratch, t0, columns):
+        return self.make(t0, len(columns), scratch)
+
+
+def test_block_contract_violation_names_step():
+    def make(t0, k, b):
+        out = np.ones((k, b))
+        if t0 <= 3 < t0 + k:
+            out[3 - t0, 1] = 1.5
+        return out
+
+    with pytest.raises(ContractViolationError,
+                       match=r"'block-returns', step 3, batch row 1\b"):
+        run_online_batch(BlockReturns(make), generate_batch(2, 8, "gaussian", np.arange(2)),
+                         np.arange(2))
+
+
+def test_block_contract_violation_wrong_shape():
+    per = _block_width(1, 2)
+
+    def make(t0, k, b):
+        return np.ones((k, b)) if t0 == 0 else np.ones(k)
+
+    with pytest.raises(ContractViolationError, match=rf"'block-returns', step {per}\b"):
+        run_online(BlockReturns(make), generate(2, per + 7, "gaussian", 1))
+
+
+def test_run_online_refuses_row_sums_beyond_int64():
+    inst = Instance(1, 5, "rademacher", 0, np.array([[3 * 10**18] * 4 + [1]], dtype=np.int64))
+    with pytest.raises(ParameterError, match="int64"):
+        run_online(GreedyOnline(), inst)
+
+
+@pytest.mark.parametrize("omega", [1.7, -1, 2**64, True])
+def test_random_signing_refuses_a_bad_aux_seed(omega):
+    # as generate refuses such seeds; 1.7 used to sign as omega 1
+    with pytest.raises(ParameterError, match="seeds must be integers"):
+        run_online(RandomSigningOnline(), generate(2, 30, "gaussian", 1), omega)
