@@ -74,7 +74,9 @@ candidate), and ``v < fl(x)`` implies ``v <= x`` (an acceptance written
 therefore written with ``<=`` and every acceptance without re-decision
 with ``<``; the slack never has to absorb the rounding of the bound
 itself.  Bounds beyond the scan dtype's range are clamped to it
-(``scan_bounds``), and an integer scan compares with floor(x).
+(``scan_bounds``).  An integer scan takes floor(T) as its filter and
+floor(T) + 1 as its acceptance bound: an integer norm v has v <= floor(T)
+exactly when v <= T, so every candidate is accepted and none re-decided.
 """
 
 from __future__ import annotations
@@ -243,13 +245,14 @@ def scan_precision(entries: np.ndarray, steps: int) -> tuple[np.dtype, float]:
 
 
 def scan_bounds(dtype: np.dtype, threshold: float, slack: float) -> tuple:
-    """threshold + slack and threshold - slack as comparison bounds for
-    norms scanned in ``dtype``: floor() of each for integer scans, and for
-    float scans each clamped to the dtype's range, so that NEP 50's cast of
+    """(hi, lo): a norm scanned in ``dtype`` is a candidate when <= hi and
+    accepted without re-decision when < lo.  Integer scans take (floor(T),
+    floor(T) + 1), which decide exactly; float scans take T + slack and
+    T - slack, each clamped to the dtype's range so that NEP 50's cast of
     the bound to the dtype cannot overflow."""
     if dtype.kind in "iu":
-        return tuple(math.floor(x) if math.isfinite(x) else x
-                     for x in (threshold + slack, threshold - slack))
+        top = math.floor(threshold) if math.isfinite(threshold) else threshold
+        return top, top + 1
     top = float(np.finfo(dtype).max)
     return tuple(min(max(float(x), -top), top) for x in (threshold + slack, threshold - slack))
 
@@ -361,20 +364,18 @@ def enumerate_below(inst: Instance, threshold: float,
     if n > max_n:
         raise CapacityError(f"enumeration for n={n} exceeds max_n={max_n}")
     scan = _GrayScan(_work_entries(inst))
-    slack = scan.slack
-    hi, lo = scan_bounds(scan.dtype, threshold, slack)
+    hi, lo = scan_bounds(scan.dtype, threshold, scan.slack)
     found = []
     for par, gh, vals in scan.blocks():
         hits = (vals <= hi).nonzero()[0]
         if not hits.size:
             continue
         codes = scan.codes(par, gh, hits)
-        if slack:
-            keep = vals[hits] < lo
-            if not keep.all():
-                for i in (~keep).nonzero()[0]:
-                    keep[i] = _direct_value(inst, codes[i]) <= threshold
-                codes = codes[keep]
+        keep = vals[hits] < lo
+        if not keep.all():
+            for i in (~keep).nonzero()[0]:
+                keep[i] = _direct_value(inst, codes[i]) <= threshold
+            codes = codes[keep]
         found.append(codes)
     if not found:
         return np.empty((0, n), dtype=np.int8)

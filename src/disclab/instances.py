@@ -10,9 +10,9 @@ coordinate-parallel, and independent of evaluation order.
 disorder, p, a shape and a column offset to Philox.  ``generate`` (one
 seed), ``generate_batch`` (many seeds) and ``resample_suffix`` (the
 members' last k columns, in one batched call) all go through it.
-``_check_dims``, ``_check_disorder`` and ``_seed_keys`` are the one
-parameter rule; a loaded instance file and an experiment config obey it
-as well.
+``_check_dims`` and ``_check_disorder`` are the one parameter rule; a
+loaded instance file and an experiment config obey it as well.  Philox
+checks the seeds.
 
 Correlated ensembles come in two flavours:
 
@@ -79,23 +79,12 @@ def _check_disorder(disorder, p) -> None:
         raise ParameterError(f"p is only meaningful for bernoulli disorder, got p={p!r}")
 
 
-def _seed_keys(seeds) -> np.ndarray:
-    """One seed or an array-like of seeds as uint64.  Every seed must be an
-    integer in [0, 2^64): a negative numpy seed would otherwise wrap and a
-    float one truncate."""
-    keys = np.asarray(seeds, dtype=object)
-    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
-               and 0 <= s < 2**64 for s in keys.flat):
-        raise ParameterError(f"seeds must be integers in [0, 2^64), got {seeds!r}")
-    return keys.astype(np.uint64)
-
-
 def _draw(key, disorder: str, p: Optional[float], rows: int, cols: int,
           col_offset: int = 0) -> np.ndarray:
     """Entries (i, col_offset + j) for i < rows, j < cols: the one draw path.
 
-    ``key`` is a uint64 seed, giving (rows, cols), or a (B, 1, 1) uint64
-    array of seeds, giving (B, rows, cols).
+    ``key`` is a seed, giving (rows, cols), or a (B, 1, 1) array of seeds,
+    giving (B, rows, cols).
     """
     r = np.arange(rows, dtype=np.uint64)[:, None]
     c = np.arange(col_offset, col_offset + cols, dtype=np.uint64)[None, :]
@@ -112,7 +101,7 @@ def generate(rows: int, cols: int, disorder: str, seed: int,
     """Generate a fresh instance; identical arguments give identical entries."""
     _check_dims(rows, cols)
     _check_disorder(disorder, p)
-    entries = _draw(_seed_keys(seed), disorder, p, rows, cols)
+    entries = _draw(seed, disorder, p, rows, cols)
     entries.setflags(write=False)
     return Instance(rows, cols, disorder, seed, entries, p)
 
@@ -127,7 +116,8 @@ def generate_batch(rows: int, cols: int, disorder: str, seeds,
     """
     _check_dims(rows, cols)
     _check_disorder(disorder, p)
-    return _draw(_seed_keys(seeds)[:, None, None], disorder, p, rows, cols, col_offset)
+    keys = np.asarray(seeds, dtype=object)[:, None, None]
+    return _draw(keys, disorder, p, rows, cols, col_offset)
 
 
 def resample_suffix(base: Instance, k: int, m: int,

@@ -207,7 +207,7 @@ def _search_shared_prefix(members: Sequence[Instance], k: int,
         # the first suffix of ``prefix`` that ``mem`` admits, or None
         for r in (norms <= hi).nonzero()[0]:
             code = (prefix << k) | int(r)
-            if not slack or norms[r] < lo or _direct_value(mem, code, "lex") <= threshold:
+            if norms[r] < lo or _direct_value(mem, code, "lex") <= threshold:
                 return int(r)
         return None
 

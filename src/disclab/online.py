@@ -48,7 +48,7 @@ import numpy as np
 from . import philox
 from .discrepancy import _native_value, _work_entries
 from .errors import ContractViolationError, ParameterError
-from .instances import Instance, _seed_keys
+from .instances import Instance
 
 _LOG2 = float(np.log(2.0))
 # last counter word of the random signer's Philox blocks
@@ -137,7 +137,7 @@ class RandomSigningOnline:
     name = "random"
 
     def start(self, rows: int, omegas=(0,)):
-        return _seed_keys(omegas)
+        return omegas
 
     def sign_block(self, seeds, t0, columns):
         k, b, m = columns.shape

@@ -15,18 +15,14 @@ One Philox block yields four 32-bit words; ``uniforms01`` folds them into
 two open-interval (0,1) doubles and ``gaussians`` applies Box-Muller to
 those two, producing one standard normal per block.
 
-``philox4x32`` evaluates a broadcast grid of blocks in one of two ways:
+``philox4x32`` cuts a broadcast grid of blocks, one block included, in C
+order into tiles of at most ``TILE`` = 2^14 blocks.  A tile's counters,
+and its keys when the key is an array, are copied into uint64 buffers
+allocated once per call, and every round runs as in-place ufuncs.  A
+scalar key's ten round keys are computed once per call.
 
-* a grid of one block runs the ten rounds on plain Python integers
-  (``philox4x32_scalar``).  ``derive_seed`` is the one caller that draws
-  a single block per call; the others reach this path only when a grid
-  happens to hold one block (the online ``random`` signer draws a whole
-  column block per call);
-* a larger grid is cut, in C order, into tiles of at most ``TILE`` = 2^14
-  blocks.  A tile's counters, and its keys when the key is an array, are
-  copied into uint64 buffers allocated once per call, and every round
-  runs as in-place ufuncs.  A scalar key's ten round keys are computed
-  once per call.
+``split_key`` holds the one seed rule, for every draw: a seed is an
+integer in [0, 2^64), and a bool, float or out-of-range one is refused.
 
 The word transforms (the (0,1) fold, Box-Muller, the sign bit and the
 Bernoulli compare) are applied tile by tile, so ``uniforms01``,
@@ -37,6 +33,7 @@ tile of temporaries (about 1 MB), however many blocks they draw.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -186,38 +183,35 @@ def philox4x32(c0, c1, c2, c3, k0, k1, *, fold=_WORDS):
     dtypes, apply = fold
     outs = [np.empty(size, dtype=d) for d in dtypes]
     scratch = np.empty(min(size, TILE), dtype=np.float64)
-    if size == 1:
-        words = philox4x32_scalar([a.item() for a in args[:4]], [a.item() for a in args[4:]])
-        apply([np.array([w], dtype=np.uint64) for w in words], outs, scratch)
-    elif size > 1:
-        scalar_key = args[4].size == 1 and args[5].size == 1
-        if scalar_key:
-            keys = _scalar_schedule(args[4].item(), args[5].item())
-            args = args[:4]
-        grid = [np.broadcast_to(a, shape) for a in args]
-        # one buffer per loaded input, then the two round products
-        bufs = [np.empty(min(size, TILE), dtype=np.uint64) for _ in range(len(args) + 2)]
-        for start, index in _tiles(shape):
-            tile = [g[index] for g in grid]
-            n = tile[0].size
-            x = [b[:n] for b in bufs]
-            for dst, src in zip(x, tile):
-                _load(dst, src)
-            if not scalar_key:
-                keys = _array_schedule(x[4], x[5])
-            _rounds(x[:4], x[-2], x[-1], keys)
-            apply(x[:4], [o[start:start + n] for o in outs], scratch[:n])
+    scalar_key = args[4].size == 1 and args[5].size == 1
+    if scalar_key:
+        keys = _scalar_schedule(args[4].item(), args[5].item())
+        args = args[:4]
+    grid = [np.broadcast_to(a, shape) for a in args]
+    # one buffer per loaded input, then the two round products
+    bufs = [np.empty(min(size, TILE), dtype=np.uint64) for _ in range(len(args) + 2)]
+    for start, index in _tiles(shape):
+        tile = [g[index] for g in grid]
+        n = tile[0].size
+        x = [b[:n] for b in bufs]
+        for dst, src in zip(x, tile):
+            _load(dst, src)
+        if not scalar_key:
+            keys = _array_schedule(x[4], x[5])
+        _rounds(x[:4], x[-2], x[-1], keys)
+        apply(x[:4], [o[start:start + n] for o in outs], scratch[:n])
     return tuple(o.reshape(shape) for o in outs)
 
 
-def split_key(seed) -> tuple[np.uint64, np.uint64]:
-    """64-bit seed (scalar or array) -> (low, high) 32-bit key words."""
-    if np.isscalar(seed) and not isinstance(seed, np.ndarray):
-        if not 0 <= seed < 2**64:
-            raise ParameterError(f"seed must be a 64-bit unsigned value, got {seed}")
-        s = np.uint64(seed)
-    else:
-        s = np.asarray(seed, dtype=np.uint64)
+def split_key(seed) -> tuple[np.ndarray, np.ndarray]:
+    """A seed or an array-like of seeds -> (low, high) 32-bit key words.
+    Every seed must be an integer in [0, 2^64): a negative numpy seed
+    would otherwise wrap and a float one truncate."""
+    seeds = np.asarray(seed, dtype=object)
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+               and 0 <= s < 2**64 for s in seeds.flat):
+        raise ParameterError(f"seeds must be integers in [0, 2^64), got {seed!r}")
+    s = seeds.astype(np.uint64)
     return s & _MASK32, s >> _SHIFT32
 
 
@@ -254,8 +248,8 @@ def derive_seed(seed: int, a: int, b: int = 0) -> int:
 
 
 def philox4x32_scalar(counter, key, rounds: int = _ROUNDS):
-    """Plain-integer Philox4x32 rounds: the single-block path of
-    ``philox4x32`` and the reference its tiled path is tested against."""
+    """Plain-integer Philox4x32 rounds: ``derive_seed``'s path and the
+    reference the tiled ``philox4x32`` is tested against."""
     c = [x & 0xFFFFFFFF for x in counter]
     k0, k1 = key[0] & 0xFFFFFFFF, key[1] & 0xFFFFFFFF
     for _ in range(rounds):

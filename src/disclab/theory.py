@@ -312,6 +312,18 @@ def correlate(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
+def _covariance_matrix(covariance) -> np.ndarray:
+    """A ``CovarianceSpec`` or array-like as a float64 matrix, which must be
+    nonempty and square: the one input check of both box estimators."""
+    if isinstance(covariance, CovarianceSpec):
+        covariance = covariance.materialize()
+    cov = np.asarray(covariance, dtype=np.float64)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
+        raise ParameterError(f"covariance must be a nonempty square matrix, "
+                             f"got shape {cov.shape}")
+    return cov
+
+
 def mc_box_probability(covariance, half_width: float, samples: int,
                        seed: int) -> McEstimate:
     """Monte Carlo estimate of P[max_i |Z_i| <= half_width], Z ~ N(0, cov).
@@ -333,12 +345,7 @@ def mc_box_probability(covariance, half_width: float, samples: int,
     such as perfectly coupled coordinates are accepted via an eigenvalue
     factorization; indefinite input is an error.
     """
-    if isinstance(covariance, CovarianceSpec):
-        covariance = covariance.materialize()
-    cov = np.asarray(covariance, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
-        raise ParameterError(f"covariance must be a nonempty square matrix, "
-                             f"got shape {cov.shape}")
+    cov = _covariance_matrix(covariance)
     if samples < 10_000:
         raise ParameterError(f"need at least 1e4 samples, got {samples}")
     try:
@@ -416,25 +423,36 @@ def equicorrelated_box_probability(m: int, rho: float, half_width: float) -> flo
     return min(1.0, max(0.0, val))
 
 
-def _bivariate_rectangle(a1, b1, a2, b2, rho):
-    # P[a1 <= Z1 <= b1, a2 <= Z2 <= b2] for unit normals with correlation rho
+def _rectangle(corr: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """P[lo <= Z <= hi] for unit normals Z with correlation matrix ``corr``:
+    Z_1 is integrated out over [lo_1, hi_1], and given Z_1 = z the others
+    are unit normals again on the box (lo - r z)/s .. (hi - r z)/s, with r
+    = corr[0, 1:], s = sqrt(1 - r^2) and correlation
+    (corr[1:, 1:] - r r^T)/(s s^T)."""
+    if len(lo) == 1:
+        return _interval_prob(lo[0], hi[0])
     from scipy import integrate
 
-    s = math.sqrt(max(1e-300, 1.0 - rho * rho))
+    r = corr[0, 1:]
+    s = np.sqrt(np.maximum(1e-300, 1.0 - r * r))
+    cond = (corr[1:, 1:] - np.outer(r, r)) / np.outer(s, s)
 
     def integrand(z):
         return (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-                * _interval_prob((a2 - rho * z) / s, (b2 - rho * z) / s))
+                * _rectangle(cond, (lo[1:] - r * z) / s, (hi[1:] - r * z) / s))
 
-    val, _ = integrate.quad(integrand, a1, b1, epsabs=1e-12, epsrel=1e-11, limit=200)
+    # with three coordinates left each point of this integral is a whole
+    # inner one, hence the looser tolerance; both settings are those the
+    # values pinned in the tests were computed with, to the last bit
+    epsabs, epsrel, limit = (1e-12, 1e-11, 200) if len(lo) == 2 else (1e-10, 1e-9, 100)
+    val, _ = integrate.quad(integrand, lo[0], hi[0], epsabs=epsabs, epsrel=epsrel,
+                            limit=limit)
     return val
 
 
 def box_probability_quadrature(covariance, half_width: float) -> float:
     """Deterministic box probability for m <= 3 and a general covariance."""
-    if isinstance(covariance, CovarianceSpec):
-        covariance = covariance.materialize()
-    cov = np.asarray(covariance, dtype=np.float64)
+    cov = _covariance_matrix(covariance)
     m = cov.shape[0]
     sd = np.sqrt(np.diag(cov))
     t = half_width / sd                       # per-dimension half widths
@@ -442,28 +460,9 @@ def box_probability_quadrature(covariance, half_width: float) -> float:
     eigs = np.linalg.eigvalsh(corr)
     if eigs[0] <= _PD_TOL:
         raise ParameterError("covariance is not positive definite")
-    if m == 1:
-        return _interval_prob(-t[0], t[0])
-    if m == 2:
-        return _bivariate_rectangle(-t[0], t[0], -t[1], t[1], corr[0, 1])
-    if m == 3:
-        from scipy import integrate
-
-        r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
-        s2 = math.sqrt(1.0 - r12 * r12)
-        s3 = math.sqrt(1.0 - r13 * r13)
-        rc = (r23 - r12 * r13) / (s2 * s3)
-
-        def integrand(z):
-            return (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-                    * _bivariate_rectangle((-t[1] - r12 * z) / s2, (t[1] - r12 * z) / s2,
-                                           (-t[2] - r13 * z) / s3, (t[2] - r13 * z) / s3,
-                                           rc))
-
-        val, _ = integrate.quad(integrand, -t[0], t[0], epsabs=1e-10, epsrel=1e-9,
-                                limit=100)
-        return val
-    raise ParameterError(f"deterministic quadrature supports m <= 3, got m={m}")
+    if m > 3:
+        raise ParameterError(f"deterministic quadrature supports m <= 3, got m={m}")
+    return _rectangle(corr, -t, t)
 
 
 # ---------------------------------------------------------------------------

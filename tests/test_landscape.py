@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from disclab import (CapacityError, GreedyOnline, OgpWindow, ParameterError,
-                     RandomSigningOnline, UnsupportedDisorderError, generate,
+                     RandomSigningOnline, UnsupportedDisorderError, enumerate_below, generate,
                      interpolate, overlap_histogram, resample_suffix,
                      search_ogp_tuples, search_xi_disc, search_xi_sbp,
                      stability_probe, verify_certificate)
-from disclab import landscape
+from disclab import discrepancy, landscape
 from disclab.cli import main
 from disclab.philox import derive_seed
-from oracles import naive_ogp_exists, naive_xi_exists, pairwise_overlaps
+from oracles import naive_ogp_exists, naive_solution_set, naive_xi_exists, pairwise_overlaps
 
 
 # -- histograms ---------------------------------------------------------------
@@ -281,3 +281,26 @@ def test_stability_validation():
         stability_probe(GreedyOnline(), 1.5, 5, 8, 2, threshold=1.0)
     with pytest.raises(ParameterError):
         stability_probe(GreedyOnline(), 0.5, 0, 8, 2, threshold=1.0)
+
+
+def test_stability_probe_refuses_a_float_seed():
+    # derive_seed used to truncate it, so seed=1.7 ran as seed=1
+    with pytest.raises(ParameterError, match="seeds must be integers"):
+        stability_probe(GreedyOnline(), 0.9, 3, 20, 2, 3.0, seed=1.7)
+
+
+def test_integer_scans_decide_no_candidate_twice(monkeypatch):
+    # an integer norm is compared exactly, so no candidate goes to the
+    # direct product, at an integer threshold or between two integers
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integer scan re-decided a candidate")
+
+    monkeypatch.setattr(discrepancy, "_direct_value", refuse)
+    monkeypatch.setattr(landscape, "_direct_value", refuse)
+    inst = generate(4, 12, "rademacher", 23)
+    for t in (2, 2.5):
+        want = naive_solution_set(inst.entries, t)
+        assert want and {tuple(int(v) for v in r) for r in enumerate_below(inst, t)} == want
+    members = _ensemble(31, 3, 10, 3, 2, disorder="rademacher")
+    cert = search_xi_disc(members, 3, 2.0)
+    assert cert is not None and verify_certificate(cert, members)

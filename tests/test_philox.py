@@ -197,3 +197,23 @@ def test_derive_seed_spread():
     assert len(vals) == 900
     assert all(0 <= v < 2**64 for v in vals)
     assert philox.derive_seed(5, 3, 4) == philox.derive_seed(5, 3, 4)
+
+
+def test_every_draw_obeys_the_seed_rule():
+    # a float seed used to truncate (derive_seed(1.7, 3) == derive_seed(1, 3))
+    # and a negative array seed to wrap to 2^64 - 1
+    for seed in (1.7, np.float64(2.0), True, -1, 2**64, np.int64(-1)):
+        with pytest.raises(ParameterError, match="seeds must be integers"):
+            philox.derive_seed(seed, 3)
+    for seeds in (np.array([-1]), np.array([1.7]), [3, True], [2**64]):
+        with pytest.raises(ParameterError, match="seeds must be integers"):
+            philox.gaussians(seeds, np.arange(3), 0)
+
+
+def test_numpy_integer_seeds_draw_as_their_int_seed():
+    c = np.arange(5)
+    for seed in (np.uint64(2**63 + 5), np.uint64(2**64 - 1), np.int64(5), np.uint32(7)):
+        s = int(seed)
+        assert philox.derive_seed(seed, 3) == philox.derive_seed(s, 3)
+        assert np.array_equal(philox.gaussians(seed, c, 0), philox.gaussians(s, c, 0))
+        assert np.array_equal(philox.signs(np.array([seed]), c, 1), philox.signs(s, c, 1))

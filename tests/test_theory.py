@@ -411,3 +411,65 @@ def test_stable_constants_validation():
         stable_constants(0.5, 0.0, 2)
     with pytest.raises(ParameterError):
         stable_constants(0.5, 1.0, 1)
+
+
+def test_mc_box_refuses_a_float_seed():
+    with pytest.raises(ParameterError, match="seeds must be integers"):
+        mc_box_probability(np.eye(2), 0.5, 20_000, seed=1.7)
+
+
+def test_both_box_estimators_refuse_a_malformed_covariance():
+    # the quadrature used to fail inside numpy (a broadcast ValueError, an IndexError)
+    for cov in (np.ones((2, 3)), np.zeros((0, 0))):
+        with pytest.raises(ParameterError, match="nonempty square matrix"):
+            box_probability_quadrature(cov, 1.0)
+        with pytest.raises(ParameterError, match="nonempty square matrix"):
+            mc_box_probability(cov, 1.0, 10_000, seed=1)
+
+
+_QUADRATURE_COVS = {
+    "m1": [[1.0]],
+    "m1_scaled": [[2.5]],
+    "m2_pos": [[1.0, 0.6], [0.6, 1.0]],
+    "m2_neg": [[1.0, -0.45], [-0.45, 1.0]],
+    "m3_pos": [[1.0, 0.5, 0.3], [0.5, 1.0, 0.4], [0.3, 0.4, 1.0]],
+    "m3_neg": [[1.0, -0.3, 0.2], [-0.3, 1.0, -0.4], [0.2, -0.4, 1.0]],
+    "m3_scaled": [[2.0, -0.5, 0.3], [-0.5, 1.5, 0.2], [0.3, 0.2, 0.8]],
+}
+# box_probability_quadrature's values when m = 1, 2 and 3 had a code path
+# each; the one conditioning recursion must reproduce them to the last bit
+_QUADRATURE_PINS = {
+    ("m1", 0.3): 0.23582284437790518,
+    ("m1", 0.8): 0.5762892028332067,
+    ("m1", 1.5): 0.8663855974622838,
+    ("m1_scaled", 0.3): 0.15048450763496518,
+    ("m1_scaled", 0.8): 0.3871183765867634,
+    ("m1_scaled", 1.5): 0.6572182888520886,
+    ("m2_pos", 0.3): 0.06839597071689746,
+    ("m2_pos", 0.8): 0.3785948636084146,
+    ("m2_pos", 1.5): 0.7784411932273598,
+    ("m2_neg", 0.3): 0.06181630411780233,
+    ("m2_neg", 0.8): 0.35612800130573197,
+    ("m2_neg", 1.5): 0.7660759240091969,
+    ("m3_pos", 0.3): 0.01640739816541489,
+    ("m3_pos", 0.8): 0.2223767759993597,
+    ("m3_pos", 1.5): 0.6804823224471586,
+    ("m3_neg", 0.3): 0.014937637393575821,
+    ("m3_neg", 0.8): 0.2090690432985737,
+    ("m3_neg", 1.5): 0.6682250138740016,
+    ("m3_scaled", 0.3): 0.009479515793206661,
+    ("m3_scaled", 0.8): 0.1412676360043646,
+    ("m3_scaled", 1.5): 0.5174236809224347,
+}
+
+
+@pytest.mark.parametrize("name,half_width", sorted(_QUADRATURE_PINS))
+def test_quadrature_values_are_pinned(name, half_width):
+    cov = np.array(_QUADRATURE_COVS[name])
+    assert box_probability_quadrature(cov, half_width) == _QUADRATURE_PINS[name, half_width]
+
+
+def test_negative_overlap_row_probability_is_pinned():
+    # m = 3 at rho = -1/3 goes through the quadrature
+    est = expected_tuple_count_general(12, 3, 3, 8, 2.0)
+    assert est.row_probability == 0.10057898106886454
