@@ -116,7 +116,10 @@ def generate_batch(rows: int, cols: int, disorder: str, seeds,
     """
     _check_dims(rows, cols)
     _check_disorder(disorder, p)
-    keys = np.asarray(seeds, dtype=object)[:, None, None]
+    keys = np.asarray(seeds, dtype=object)
+    if keys.ndim != 1:
+        raise ParameterError(f"seeds must be a 1-d sequence, got {seeds!r}")
+    keys = keys[:, None, None]
     return _draw(keys, disorder, p, rows, cols, col_offset)
 
 

@@ -292,15 +292,13 @@ def search_xi_disc(members: Sequence[Instance], k: int, c_u: float,
 class OgpWindow:
     """Forbidden-overlap window [beta - eta, beta] with tuple size m.
 
-    ``bound`` is the absolute discrepancy threshold K in "disc" mode, or
-    kappa (scaled by sqrt(n) at search time) in "sbp" mode.
+    ``bound`` is the absolute discrepancy threshold K.
     """
 
     beta: float
     eta: float
     bound: float
     m: int
-    mode: str = "disc"
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -309,8 +307,6 @@ class OgpWindow:
             raise ParameterError(f"eta must lie in (0, beta), got {self.eta}")
         if self.m < 2:
             raise ParameterError(f"tuple size m must be >= 2, got {self.m}")
-        if self.mode not in ("disc", "sbp"):
-            raise ParameterError(f"mode must be 'disc' or 'sbp', got {self.mode!r}")
         if not self.bound > 0:
             raise ParameterError(f"bound must be positive, got {self.bound}")
 
@@ -340,7 +336,7 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
     if isinstance(window, OgpWindow):
         lo, hi = window.interval
         m = window.m
-        threshold = window.bound if window.mode == "disc" else window.bound * math.sqrt(base.cols)
+        threshold = window.bound
     else:
         lo, hi, threshold, m = window
         threshold = float(threshold)

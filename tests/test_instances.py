@@ -113,6 +113,13 @@ def test_seeds_must_be_integers_in_range():
         resample_suffix(generate(2, 3, "gaussian", 1), 1, 2, [0.5])
 
 
+def test_generate_batch_seeds_are_a_1d_sequence():
+    for seeds in (5, np.uint64(5), [[1, 2]], np.zeros((2, 1), dtype=np.uint64)):
+        with pytest.raises(ParameterError, match="1-d sequence"):
+            generate_batch(2, 3, "gaussian", seeds)
+    assert generate_batch(2, 3, "gaussian", [7]).shape == (1, 2, 3)
+
+
 def test_numpy_integer_seeds_draw_the_int_seed():
     want = generate_batch(2, 3, "rademacher", [5, 2**63, 2**64 - 1])
     for seeds in (np.array([5, 2**63, 2**64 - 1], dtype=np.uint64),

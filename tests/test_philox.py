@@ -96,6 +96,55 @@ def test_tiled_path_equals_scalar_rounds(grid):
         assert tuple(int(w) for w in words[i]) == ref
 
 
+def _inputs(rng, scalar_key):
+    """Six inputs of a (3, 5, 11) grid; only c0 and c1 carry random words."""
+    c0 = rng.integers(0, 2**64, size=(3, 1, 11), dtype=np.uint64)
+    c1 = rng.integers(0, 2**64, size=(1, 5, 1), dtype=np.uint64)
+    c2, c3 = np.arange(11, dtype=np.uint64), 9
+    if scalar_key:
+        return [c0, c1, c2, c3, 12345, M32]
+    k0 = rng.integers(0, 2**64, size=(3, 1, 1), dtype=np.uint64)
+    k1 = rng.integers(0, 2**64, size=(1, 5, 11), dtype=np.uint64)
+    return [c0, c1, c2, c3, k0, k1]
+
+
+@pytest.mark.parametrize("tile", [7, 64])
+@pytest.mark.parametrize("scalar_key", [True, False])
+def test_grid_walk_with_a_small_tile(monkeypatch, tile, scalar_key):
+    # a run longer than TILE would not fit the work buffers and fail; every
+    # block must land at its C-order position, whatever the run lengths
+    monkeypatch.setattr(philox, "TILE", tile)
+    inputs = _inputs(np.random.default_rng(tile), scalar_key)
+    out = philox.philox4x32(*inputs)
+    shape = (3, 5, 11)
+    assert all(o.shape == shape for o in out)
+    flat = [np.broadcast_to(np.asarray(x, dtype=np.uint64), shape).ravel() for x in inputs]
+    words = np.stack([o.ravel() for o in out], axis=1)
+    for i in range(words.shape[0]):
+        ref = philox.philox4x32_scalar([int(x[i]) for x in flat[:4]],
+                                       [int(x[i]) for x in flat[4:]])
+        assert tuple(int(w) for w in words[i]) == ref
+    rows, cols = np.arange(13)[:, None], np.arange(50)[None, :]
+    small = philox.gaussians(8, rows, cols, 1), philox.bernoullis(8, 0.4, rows, cols)
+    monkeypatch.setattr(philox, "TILE", TILE)
+    assert np.array_equal(small[0], philox.gaussians(8, rows, cols, 1))
+    assert np.array_equal(small[1], philox.bernoullis(8, 0.4, rows, cols))
+
+
+def test_edge_grids():
+    z = philox.gaussians(1, np.arange(0), 0)
+    assert z.shape == (0,) and z.dtype == np.float64
+    s = philox.signs(1, np.zeros((0, 3), dtype=np.uint64), 0)
+    assert s.shape == (0, 3) and s.dtype == np.int64
+    g = philox.gaussians(1, 3, 4)
+    assert g.shape == () and g == philox.gaussians(1, np.array([3]), 4)[0]
+    # a size-1 key keeps its axes in the grid's shape
+    k = np.zeros((1, 1, 1), dtype=np.uint64)
+    out = philox.philox4x32(np.arange(4), 0, 0, 0, k, k)
+    assert all(o.shape == (1, 1, 4) for o in out)
+    assert tuple(int(o[0, 0, 2]) for o in out) == philox.philox4x32_scalar((2, 0, 0, 0), (0, 0))
+
+
 @pytest.mark.parametrize("size", [TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
 def test_transforms_equal_single_block_draws(size):
     # every transform is applied tile by tile; a block's value must not
@@ -197,6 +246,17 @@ def test_derive_seed_spread():
     assert len(vals) == 900
     assert all(0 <= v < 2**64 for v in vals)
     assert philox.derive_seed(5, 3, 4) == philox.derive_seed(5, 3, 4)
+
+
+def test_derive_seed_counter_words_are_32_bit_integers():
+    # 1.7 used to truncate to 1, True to count as 1 and -1 to wrap to 2^32 - 1
+    for word in (1.7, True, -1, 2**32, np.float64(3.0)):
+        for a, b in ((word, 0), (0, word)):
+            with pytest.raises(ParameterError, match="counter words must be integers"):
+                philox.derive_seed(5, a, b)
+    assert philox.derive_seed(5, np.int64(3)) == philox.derive_seed(5, 3)
+    assert philox.derive_seed(5, np.uint32(3), np.int8(2)) == philox.derive_seed(5, 3, 2)
+    assert philox.derive_seed(5, M32, M32) != philox.derive_seed(5, 0, 0)
 
 
 def test_every_draw_obeys_the_seed_rule():
