@@ -5,9 +5,9 @@ Subcommands: gen, disc, sbp, online, landscape, theory, experiment.
 omitted, reports go to stdout.  The environment variable DISCLAB_OUT_DIR
 supplies the default output directory for experiment sweeps.
 
-The subparsers are the task table: each leaf sets its ``task`` (and the
-histogram its ``fmt``) with ``set_defaults``, and ``main`` emits what the
-task returns; a task that returns None wrote its own output.
+The subparsers are the task table: each leaf sets its ``task`` with
+``set_defaults``, and ``main`` emits what the task returns; a task that
+returns None wrote its own output.
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     """
     ap = argparse.ArgumentParser(prog="disclab",
                                  description="discrepancy / perceptron laboratory")
-    ap.set_defaults(fmt="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bins", type=int, default=21)
     q.add_argument("--max-n", type=int)
     q.add_argument("--out")
-    q.set_defaults(task=_task_histogram, fmt="csv")
+    q.set_defaults(task=_task_histogram)
 
     q = modes.add_parser("xi-sbp", help="prefix-locked satisfying tuple search")
     _add_instance_args(q)
@@ -353,7 +352,7 @@ def main(argv=None) -> int:
     try:
         result = args.task(args)
         if result is not None:
-            text = emit_report(result, args.fmt, args.out)
+            text = emit_report(result, args.out)
             if args.out is None:
                 sys.stdout.write(text)
     except (ParameterError, CapacityError) as exc:

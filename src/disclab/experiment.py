@@ -1,12 +1,15 @@
 """Declarative experiment sweeps with reproducible manifests.
 
-A config (JSON file or dict) names an experiment kind, its instance and
-algorithm parameters, and a seed range.  ``run_experiment`` validates
-everything before writing a single byte, executes the per-seed tasks,
-and emits a manifest listing each output file with its SHA-256 hash.
-Because all generation and all solvers are counter-seeded and the JSON
-writer is canonical, re-running a manifest's config reproduces
-byte-identical files.
+A config (JSON file or dict) names an experiment kind, the instance
+parameters rows, cols, disorder and p, a seed range, and the keys its
+kind reads.  ``_KINDS`` is the one table of kinds: each row gives the
+kind's per-seed payload and, in manifest order, the keys it reads with
+their defaults.  ``parse_config`` checks a config against that table;
+``run_experiment`` parses before writing a single byte, executes the
+per-seed tasks, and emits a manifest listing each output file with its
+SHA-256 hash.  Because all generation and all solvers are counter-seeded
+and the JSON writer is canonical, re-running a manifest's config
+reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,18 +18,15 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 from .discrepancy import enumerate_solutions, exact_discrepancy, sign_string
 from .errors import ParameterError
 from .instances import _check_dims, _check_disorder, generate
-from .online import ALGORITHMS, make_algorithm, run_online
-from .reports import emit_report, render_json, to_payload
-
-KINDS = ("online", "exact", "sbp-count")
-# config keys that a kind would silently ignore
-_UNUSED_KEYS = {"exact": ("alg", "lam", "kappa"), "sbp-count": ("alg", "lam")}
+from .online import make_algorithm, run_online
+from .philox import _is_word
+from .reports import emit_report, to_payload
 
 
 def _is_int(value) -> bool:
@@ -34,96 +34,31 @@ def _is_int(value) -> bool:
 
 
 def parse_seed_range(spec) -> list[int]:
-    """Accept [a, b, ...] lists of integers or an inclusive "A..B" string."""
+    """Accept [a, b, ...] lists of seeds or an inclusive "A..B" string with
+    B >= A.  Every seed must be an integer in [0, 2^64)."""
     if isinstance(spec, str):
         lo, _, hi = spec.partition("..")
         try:
-            return list(range(int(lo), int(hi) + 1))
+            seeds = range(int(lo), int(hi) + 1)
         except ValueError:
             raise ParameterError(f"seed range must look like 'A..B', got {spec!r}") from None
-    if isinstance(spec, (list, tuple)) and all(_is_int(s) for s in spec):
-        return list(spec)
-    raise ParameterError(f"seeds must be an 'A..B' string or a list of integers, "
-                         f"got {spec!r}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    rows: int
-    cols: int
-    seeds: tuple[int, ...]
-    disorder: str = "gaussian"
-    p: Optional[float] = None
-    alg: str = "greedy"
-    lam: Optional[float] = None
-    kappa: Optional[float] = None
-    max_n: Optional[int] = None
-    out_dir: str = "."
-
-    def __post_init__(self):
-        for name in ("max_n", "lam", "kappa"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if name == "max_n" and not _is_int(value):
-                raise ParameterError(f"experiment {name} must be an integer, got {value!r}")
-            if not (_is_int(value) or isinstance(value, float)):
-                raise ParameterError(f"experiment {name} must be a number, got {value!r}")
-        if not isinstance(self.out_dir, str):
-            raise ParameterError(f"experiment out_dir must be a string, got {self.out_dir!r}")
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown experiment kind {self.kind!r}, expected {KINDS}")
-        _check_dims(self.rows, self.cols)
-        _check_disorder(self.disorder, self.p)
-        if self.kind == "online" and self.alg not in ALGORITHMS:
-            raise ParameterError(f"unknown algorithm {self.alg!r}")
-        if self.kind == "sbp-count":
-            if self.disorder != "gaussian":
-                raise ParameterError("sbp-count needs gaussian disorder")
-            if self.kappa is None or not self.kappa > 0:
-                raise ParameterError("sbp-count needs kappa > 0")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ParameterError(f"experiment config must be a JSON object, "
-                                 f"got {type(raw).__name__}")
-        raw = dict(raw)
-        seeds = tuple(parse_seed_range(raw.pop("seeds", [])))
-        unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ParameterError(f"unknown experiment config keys: {', '.join(unknown)}")
-        missing = [k for k in ("kind", "rows", "cols") if k not in raw]
-        if missing:
-            raise ParameterError(f"experiment config lacks {', '.join(missing)}")
-        unused = [k for k in _UNUSED_KEYS.get(raw["kind"], ()) if k in raw]
-        if unused:
-            raise ParameterError(f"experiment kind {raw['kind']!r} does not use "
-                                 f"{', '.join(unused)}")
-        return cls(seeds=seeds, **raw)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "rows": self.rows, "cols": self.cols,
-               "disorder": self.disorder}
-        if self.p is not None:
-            out["p"] = self.p
-        if self.kind == "online":
-            out["alg"] = self.alg
-            if self.lam is not None:
-                out["lam"] = self.lam
-        if self.kappa is not None:
-            out["kappa"] = self.kappa
-        if self.max_n is not None:
-            out["max_n"] = self.max_n
-        out["seeds"] = list(self.seeds)
-        return out
+        if not seeds:
+            raise ParameterError(f"seed range {spec!r} ends before it starts")
+        ends = (seeds[0], seeds[-1])
+    elif isinstance(spec, (list, tuple)):
+        seeds = ends = spec
+    else:
+        raise ParameterError(f"seeds must be an 'A..B' string or a list of integers, "
+                             f"got {spec!r}")
+    if not all(_is_word(s, 64) for s in ends):
+        raise ParameterError(f"seeds must be integers in [0, 2^64), got {spec!r}")
+    return list(seeds)
 
 
 # The per-instance payloads of ``disclab online``, ``disc`` and ``sbp``, which
-# are also the sweep kinds online, exact and sbp-count.  ``params`` is the
-# parsed arguments or an ExperimentConfig; both name alg, lam, kappa, max_n.
-# The online algorithm's auxiliary seed is the instance's seed.
+# the sweep kinds share.  ``params`` is the parsed arguments or a namespace of
+# a parsed sweep config; both name alg, lam, kappa, max_n where the payload
+# reads them.  The online algorithm's auxiliary seed is the instance's seed.
 
 def online_payload(params, inst) -> dict:
     res = run_online(make_algorithm(params.alg, params.lam), inst, omega=inst.seed)
@@ -144,54 +79,108 @@ def count_payload(params, inst, listed: bool = False) -> dict:
     return payload
 
 
-_PAYLOADS = {"online": online_payload, "exact": exact_payload, "sbp-count": count_payload}
+def _online_sweep_payload(params, inst) -> dict:
+    """``online_payload``, and with kappa whether value <= kappa * sqrt(cols)."""
+    payload = online_payload(params, inst)
+    if params.kappa is not None:
+        payload["satisfies"] = bool(payload["value"] <= params.kappa * math.sqrt(inst.cols))
+    return payload
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+# kind -> (per-seed payload, {key: default}): the keys the kind reads besides
+# rows, cols, disorder, p and seeds, in manifest order
+_KINDS = {
+    "online": (_online_sweep_payload, {"alg": "greedy", "lam": None, "kappa": None}),
+    "exact": (exact_payload, {"max_n": None}),
+    "sbp-count": (count_payload, {"kappa": None, "max_n": None}),
+}
 
 
-def run_experiment(config, out_dir: Optional[str] = None) -> dict:
+def parse_config(raw) -> dict:
+    """Check a sweep config; return it with every default filled in, its
+    keys in manifest order and ``out_dir`` last.  Any defect raises
+    ParameterError."""
+    if not isinstance(raw, dict):
+        raise ParameterError(f"experiment config must be a JSON object, "
+                             f"got {type(raw).__name__}")
+    read = {key for _, defaults in _KINDS.values() for key in defaults}
+    unknown = sorted(set(raw) - read - {"kind", "rows", "cols", "disorder", "p",
+                                         "seeds", "out_dir"})
+    if unknown:
+        raise ParameterError(f"unknown experiment config keys: {', '.join(unknown)}")
+    missing = [k for k in ("kind", "rows", "cols") if k not in raw]
+    if missing:
+        raise ParameterError(f"experiment config lacks {', '.join(missing)}")
+    kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ParameterError(f"unknown experiment kind {kind!r}, expected {tuple(_KINDS)}")
+    defaults = _KINDS[kind][1]
+    unused = [k for k in raw if k in read and k not in defaults]
+    if unused:
+        raise ParameterError(f"experiment kind {kind!r} does not use {', '.join(unused)}")
+    cfg = {"kind": kind, "rows": raw["rows"], "cols": raw["cols"],
+           "disorder": raw.get("disorder", "gaussian"), "p": raw.get("p"),
+           **{k: raw.get(k, default) for k, default in defaults.items()},
+           "seeds": parse_seed_range(raw.get("seeds", [])),
+           "out_dir": raw.get("out_dir", ".")}
+    for name in ("lam", "kappa", "max_n"):
+        value = cfg.get(name)
+        if value is None or _is_int(value):
+            continue
+        if name == "max_n":
+            raise ParameterError(f"experiment {name} must be an integer, got {value!r}")
+        if not isinstance(value, float):
+            raise ParameterError(f"experiment {name} must be a number, got {value!r}")
+    if not isinstance(cfg["out_dir"], str):
+        raise ParameterError(f"experiment out_dir must be a string, got {cfg['out_dir']!r}")
+    _check_dims(cfg["rows"], cfg["cols"])
+    _check_disorder(cfg["disorder"], cfg["p"])
+    if kind == "online":
+        make_algorithm(cfg["alg"], cfg["lam"])
+    if kind == "sbp-count":
+        if cfg["disorder"] != "gaussian":
+            raise ParameterError("sbp-count needs gaussian disorder")
+        if cfg["kappa"] is None or not cfg["kappa"] > 0:
+            raise ParameterError("sbp-count needs kappa > 0")
+    return cfg
+
+
+def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
     """Run all seeds of a config; write per-seed files plus manifest.json.
 
-    Returns the manifest.  Per-task failures are recorded in the manifest
-    with their message and do not abort the sweep.
+    The config is parsed before any file is written.  Returns the
+    manifest.  Per-task failures are recorded in the manifest with their
+    message and do not abort the sweep.
     """
-    if isinstance(config, dict):
-        config = ExperimentConfig.from_dict(config)
-    target = out_dir or config.out_dir
+    cfg = parse_config(config)
+    payload_of = _KINDS[cfg["kind"]][0]
+    params = SimpleNamespace(**cfg)
+    target = out_dir or params.out_dir
     os.makedirs(target, exist_ok=True)
     tasks = []
-    for seed in config.seeds:
-        name = f"{config.kind}_{seed}.json"
-        path = os.path.join(target, name)
+    for seed in params.seeds:
+        name = f"{params.kind}_{seed}.json"
         try:
-            inst = generate(config.rows, config.cols, config.disorder, seed, config.p)
-            payload = {"seed": seed, **_PAYLOADS[config.kind](config, inst)}
-            if config.kind == "online" and config.kappa is not None:
-                threshold = config.kappa * math.sqrt(config.cols)
-                payload["satisfies"] = bool(payload["value"] <= threshold)
-            emit_report(payload, "json", path)
+            inst = generate(params.rows, params.cols, params.disorder, seed, params.p)
+            text = emit_report({"seed": seed, **payload_of(params, inst)},
+                               os.path.join(target, name))
             tasks.append({"seed": seed, "status": "ok", "file": name,
-                          "sha256": _sha256(path)})
+                          "sha256": hashlib.sha256(text.encode("ascii")).hexdigest()})
         except Exception as exc:   # per-task isolation, recorded not raised
             tasks.append({"seed": seed, "status": f"error: {exc}", "file": None,
                           "sha256": None})
-    manifest = {"config": config.to_dict(), "tasks": tasks}
-    with open(os.path.join(target, "manifest.json"), "w", encoding="ascii") as fh:
-        fh.write(render_json(manifest) + "\n")
+    manifest = {"config": {k: v for k, v in cfg.items() if k != "out_dir" and v is not None},
+                "tasks": tasks}
+    emit_report(manifest, os.path.join(target, "manifest.json"))
     return manifest
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read a JSON sweep config; any defect raises ParameterError."""
+def load_config(path: str) -> dict:
+    """Read a JSON sweep config; a missing, unreadable or non-JSON file
+    raises ParameterError.  ``run_experiment`` checks what it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:       # missing, unreadable or not JSON
         raise ParameterError(f"cannot read experiment config {path}: "
                              f"{getattr(exc, 'strerror', None) or exc}") from None
-    return ExperimentConfig.from_dict(raw)

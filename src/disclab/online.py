@@ -153,13 +153,15 @@ ALGORITHMS = ("greedy", "potential", "random")
 
 
 def make_algorithm(name: str, lam: float | None = None):
-    if name == "greedy":
-        return GreedyOnline()
+    """The named online algorithm; only ``potential`` takes ``lam``."""
+    if name not in ALGORITHMS:
+        raise ParameterError(f"unknown online algorithm {name!r}, expected one of {ALGORITHMS}")
     if name == "potential":
         return PotentialOnline(lam)
-    if name == "random":
-        return RandomSigningOnline()
-    raise ParameterError(f"unknown online algorithm {name!r}, expected one of {ALGORITHMS}")
+    if lam is not None:
+        raise ParameterError(f"only the potential algorithm takes lambda, "
+                             f"got lambda={lam!r} for {name!r}")
+    return GreedyOnline() if name == "greedy" else RandomSigningOnline()
 
 
 def _check_steps(alg, steps: np.ndarray) -> None:

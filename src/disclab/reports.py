@@ -3,8 +3,8 @@
 JSON output is rendered by a small canonical writer: insertion-ordered
 fields, floats printed with 17 significant digits (exact float64
 round-trip), no locale or timestamp dependence, so byte-identical reruns
-are possible.  Histograms additionally serialize to the CSV layout
-``bin_lo,bin_hi,count``.
+are possible.  ``emit_report`` writes a histogram in the CSV layout
+``bin_lo,bin_hi,count`` and every other result as JSON.
 """
 
 from __future__ import annotations
@@ -102,17 +102,14 @@ def histogram_csv(hist: Histogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(result: Any, fmt: str = "json", path=None) -> str:
-    """Serialize ``result``; write to ``path`` when given, return the text."""
-    if fmt not in ("json", "csv"):
-        raise ParameterError(f"format must be 'json' or 'csv', got {fmt!r}")
-    if fmt == "csv":
-        if not isinstance(result, Histogram):
-            raise ParameterError("csv output needs a histogram")
+def emit_report(result: Any, path=None) -> str:
+    """Serialize ``result``, a histogram as CSV and anything else as JSON;
+    write the text to ``path`` when given, byte for byte, and return it."""
+    if isinstance(result, Histogram):
         text = histogram_csv(result)
     else:
         text = render_json(to_payload(result)) + "\n"
     if path is not None:
-        with open(path, "w", encoding="ascii") as fh:
+        with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     return text

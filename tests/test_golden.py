@@ -25,6 +25,13 @@ and 8x22, a solution count at 4x22 with kappa 0.25, and shared-prefix
 searches at 4x19 that find a certificate (kappa 1) or exhaust the space
 (kappa 0.01).  They were recorded while the cube scan still ran in
 float64 and int64, before it moved to the narrowest exact scan dtype.
+
+The ``experiment-*-max-n`` and ``experiment-online-defaults`` /
+``-every-key`` cases pin the sweep configs no other case covers: ``exact``
+and ``sbp-count`` with ``max_n``, an ``online`` sweep that leaves ``alg``
+and ``disorder`` to their defaults, and one that sets every key an
+``online`` sweep reads, in manifest order.  They were recorded before the
+sweep config became one table of keys per kind.
 """
 
 import hashlib
@@ -162,6 +169,20 @@ CASES.update({
         "cli", ["landscape", "xi-sbp", "--rows", "4", "--cols", "19", "--seed", "62",
                 "--k", "4", "--m", "2", "--kappa", "0.01"]),
 })
+CASES.update({
+    "experiment-exact-max-n": (
+        "experiment", {"kind": "exact", "rows": 5, "cols": 16, "disorder": "rademacher",
+                       "max_n": 16, "seeds": [3, 4]}),
+    "experiment-sbp-count-max-n": (
+        "experiment", {"kind": "sbp-count", "rows": 3, "cols": 12, "kappa": 0.5,
+                       "max_n": 12, "seeds": "0..1"}),
+    "experiment-online-defaults": (
+        "experiment", {"kind": "online", "rows": 4, "cols": 32, "seeds": "0..1"}),
+    "experiment-online-every-key": (
+        "experiment", {"kind": "online", "rows": 4, "cols": 32, "disorder": "bernoulli",
+                       "p": 0.3, "alg": "potential", "lam": 0.7, "kappa": 1.0,
+                       "seeds": [5, 6]}),
+})
 for _factor in ("m", "m-1"):
     CASES[f"theory-psi-disc-{_factor}"] = (
         "cli", ["theory", "psi-disc", "--m", "16", "--beta", "0.9583", "--eta", "0.0013",
@@ -187,10 +208,18 @@ GOLDEN = {
         "5b065652780746daf5803699bd98d77b5bc8b47b08b45bd510fcd7619c03a8da",
     "experiment-exact-error":
         "ab8652a7898f936fa08c4395ca0cebbb77b0adc730d84fa0264f5ab07911fa33",
+    "experiment-exact-max-n":
+        "46fa59ecd675ecaf202b06aee33bd357e93cf4a47bc06e51ba4b237de07460be",
+    "experiment-online-defaults":
+        "bb851057cbd223ad8d46116dea536824055331e1939052ecd07eb994db0d19f2",
+    "experiment-online-every-key":
+        "c73c36563569ec05e6d324d295e8a3441d9a1416ef90c8d7bb4ea80e04e34064",
     "experiment-online-kappa":
         "fc05473ee90aa6979bbbd4b42af3f74811229f677339b4245496105e07a6d7ea",
     "experiment-online-potential":
         "1d7d9b4b99e3a827de50ca1e33bec917eaa3d5f1090443669a61ebcbd659c8b7",
+    "experiment-sbp-count-max-n":
+        "eedcfd2248ec3f62681bb373d8f18f454f5462e000fbdfb87e6ac6c448a81949",
     "gen-csv":
         "dc611547a40a8273fb3babf5a1d94b32688e818ebf2ea58a233bcdadfda7187c",
     "gen-raw":

@@ -83,6 +83,9 @@ def test_potential_lambda_validation():
         make_algorithm("potential", -1.0)
     with pytest.raises(ParameterError):
         make_algorithm("nope")
+    for name in ("greedy", "random"):         # only potential reads lambda
+        with pytest.raises(ParameterError, match="only the potential"):
+            make_algorithm(name, 0.5)
 
 
 def test_potential_survives_large_lambda():

@@ -12,7 +12,7 @@ from disclab import (ParameterError, exact_discrepancy, generate,
                      overlap_histogram, psi_sbp, enumerate_solutions)
 import disclab
 from disclab.cli import build_parser, main
-from disclab.experiment import ExperimentConfig, parse_seed_range, run_experiment
+from disclab.experiment import parse_config, parse_seed_range, run_experiment
 from disclab.reports import emit_report, histogram_csv, render_json, to_payload
 
 
@@ -67,17 +67,15 @@ def test_histogram_csv_format():
     assert total == s * (s - 1) // 2
 
 
-def test_emit_report_validation(tmp_path):
-    with pytest.raises(ParameterError):
-        emit_report({"a": 1}, "yaml")
-
-
 def test_parse_seed_range():
     assert parse_seed_range("3..6") == [3, 4, 5, 6]
     assert parse_seed_range([7, 9]) == [7, 9]
     assert parse_seed_range([]) == []
-    with pytest.raises(ParameterError):
-        parse_seed_range("3-6")
+    assert parse_seed_range("3..3") == [3]
+    assert parse_seed_range([0, 2**64 - 1]) == [0, 2**64 - 1]
+    for bad in ("3-6", "3..1", "-1..2", f"0..{2**64}", [-1, 2], [2**64], [1.0], [True]):
+        with pytest.raises(ParameterError):
+            parse_seed_range(bad)
 
 
 def test_experiment_manifest_deterministic(tmp_path):
@@ -110,10 +108,10 @@ def test_experiment_task_error_recorded(tmp_path):
 
 def test_experiment_config_validation():
     with pytest.raises(ParameterError):
-        ExperimentConfig.from_dict({"kind": "bogus", "rows": 2, "cols": 2, "seeds": []})
+        parse_config({"kind": "bogus", "rows": 2, "cols": 2, "seeds": []})
     with pytest.raises(ParameterError):
-        ExperimentConfig.from_dict({"kind": "sbp-count", "rows": 2, "cols": 2,
-                                    "seeds": [], "disorder": "rademacher"})
+        parse_config({"kind": "sbp-count", "rows": 2, "cols": 2,
+                      "seeds": [], "disorder": "rademacher"})
 
 
 def test_experiment_sbp_count_matches_library(tmp_path):
@@ -244,9 +242,20 @@ def test_cli_capacity_error_exit_code(capsys):
 
 
 def test_cli_out_of_range_seed_exit_code(capsys):
-    seeds = f"{2**64}..{2**64}"
-    assert main(["online", "--alg", "greedy", "--rows", "2", "--cols", "4",
-                 "--seeds", seeds]) == 2
+    for seeds in (f"{2**64}..{2**64}", "3..1"):
+        assert main(["online", "--alg", "greedy", "--rows", "2", "--cols", "4",
+                     "--seeds", seeds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["online", "--alg", "greedy", "--lambda", "0.5", "--rows", "2", "--cols", "4",
+     "--seeds", "0..1"],
+    ["landscape", "stability", "--alg", "greedy", "--lambda", "0.5", "--rho", "0.9",
+     "--rows", "2", "--cols", "4", "--trials", "3", "--threshold", "1"]])
+def test_cli_lambda_without_potential_is_one_error_line(argv, capsys):
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -330,10 +339,9 @@ def test_load_instance_raises_instance_format_error(tmp_path):
 
 def test_experiment_rejects_unknown_config_keys(tmp_path, capsys):
     with pytest.raises(ParameterError, match="bogus"):
-        ExperimentConfig.from_dict({"kind": "exact", "rows": 2, "cols": 6,
-                                    "seeds": [1], "bogus": 1})
+        parse_config({"kind": "exact", "rows": 2, "cols": 6, "seeds": [1], "bogus": 1})
     with pytest.raises(ParameterError, match="rows, cols"):
-        ExperimentConfig.from_dict({"kind": "exact", "seeds": [1]})
+        parse_config({"kind": "exact", "seeds": [1]})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "exact", "rows": 2, "cols": 6, "seeds": [1, 2],
                                "bogus": 1}))
@@ -345,19 +353,19 @@ def test_experiment_rejects_unknown_config_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind, key, value", [
     ("exact", "kappa", 0.1), ("exact", "alg", "potential"), ("exact", "lam", 0.5),
-    ("sbp-count", "alg", "greedy"), ("sbp-count", "lam", 0.5)])
+    ("sbp-count", "alg", "greedy"), ("sbp-count", "lam", 0.5), ("online", "max_n", 3)])
 def test_experiment_rejects_keys_its_kind_ignores(kind, key, value):
     raw = {"kind": kind, "rows": 2, "cols": 6, "seeds": [1], key: value}
     if kind == "sbp-count":
         raw["kappa"] = 0.5
     with pytest.raises(ParameterError, match=f"does not use {key}"):
-        ExperimentConfig.from_dict(raw)
+        parse_config(raw)
 
 
 def test_experiment_online_uses_alg_lam_and_kappa():
-    cfg = ExperimentConfig.from_dict({"kind": "online", "rows": 2, "cols": 6, "seeds": [1],
-                                      "alg": "potential", "lam": 0.5, "kappa": 0.6})
-    assert (cfg.alg, cfg.lam, cfg.kappa) == ("potential", 0.5, 0.6)
+    cfg = parse_config({"kind": "online", "rows": 2, "cols": 6, "seeds": [1],
+                        "alg": "potential", "lam": 0.5, "kappa": 0.6})
+    assert (cfg["alg"], cfg["lam"], cfg["kappa"]) == ("potential", 0.5, 0.6)
 
 
 @pytest.mark.parametrize("mode, disorder, bound", [
@@ -378,6 +386,7 @@ def test_cli_xi_default_seed_and_instance_file(mode, disorder, bound, tmp_path, 
 
 
 _GOOD_CONFIG = {"kind": "exact", "rows": 2, "cols": 6, "seeds": [1, 2]}
+_ONLINE_CONFIG = {"kind": "online", "rows": 2, "cols": 6, "seeds": [1, 2]}
 BAD_CONFIGS = {
     "missing": None,
     "not-json": "{",
@@ -388,6 +397,11 @@ BAD_CONFIGS = {
     "seeds-not-a-range": json.dumps({**_GOOD_CONFIG, "seeds": "a..b"}),
     "exact-with-kappa": json.dumps({**_GOOD_CONFIG, "kappa": 0.1}),
     "gaussian-with-p": json.dumps({**_GOOD_CONFIG, "disorder": "gaussian", "p": 0.3}),
+    "seeds-backwards": json.dumps({**_GOOD_CONFIG, "seeds": "3..1"}),
+    "seeds-out-of-range": json.dumps({**_GOOD_CONFIG, "seeds": [-1, 2**64]}),
+    "online-with-max-n": json.dumps({**_ONLINE_CONFIG, "max_n": 3}),
+    "random-with-lam": json.dumps({**_ONLINE_CONFIG, "alg": "random", "lam": 0.5}),
+    "potential-negative-lam": json.dumps({**_ONLINE_CONFIG, "alg": "potential", "lam": -1}),
 }
 
 
@@ -426,3 +440,10 @@ def test_readme_cli_examples_parse():
     for argv in examples:
         args = build_parser().parse_args(argv)
         assert callable(args.task), argv
+
+
+def test_readme_sweep_config_parses():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("A sweep config is a JSON object", 1)[1]
+    cfg = parse_config(json.loads(block.split("```json", 1)[1].split("```", 1)[0]))
+    assert cfg["kind"] == "online" and cfg["seeds"]
