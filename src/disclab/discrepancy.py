@@ -14,15 +14,23 @@ minimizer in this order.  ``signs_from_codes`` / ``codes_from_signs``
 convert between sign vectors and these "gray" codes, or the searches'
 "lex" codes.
 
-For speed the walk is blocked.  The low q Gray bits are expanded into a
-suffix table stored row-major as an (M, 2^q) array, one column per
-within-block candidate, in two contiguous copies: table order for even
-blocks, and column-reversed for odd blocks, which relies on the
-reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1), so the global
-visiting order is preserved exactly.  Each block adds the high-bit row
-sums to every column of its table in one preallocated (M, 2^q) buffer and
-reduces max |.| over the M rows (``max_abs_rows``), giving the 2^q
-candidates' norms in walk order.
+For speed the walk is blocked.  A block is 2^q candidates, with q the
+largest value for which an (M, 2^q) array of the scan dtype fits in
+``_BLOCK_BYTES`` = 2^18 bytes (at least 0, at most n - 1), so the fixed
+cost of a block's few ufunc calls is spread over as many candidates as
+fit in cache whatever M and the dtype are.  The low q Gray bits are
+expanded once into a suffix table stored row-major as an (M, 2^q) array,
+column r holding the change of the row sums when the set bits of gray(r)
+flip.  It is built by reflection doubling, T_{j+1} = [T_j, reverse(T_j)
+- 2 M[:, j+1]], in O(M 2^q) subtractions (``_suffix_table``).  Each block
+adds the high-bit row sums to every column of the table in one
+preallocated (M, 2^q) buffer and reduces max |.| over the M rows
+(``max_abs_rows``), giving the 2^q candidates' norms in table order.  An
+even block visits them in that order.  An odd block visits them
+reversed, by the reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1),
+so it yields the norms reversed and the global visiting order is
+preserved exactly.  The walk code of a block's r-th candidate is computed
+from its position: the high bits above gray(r) XOR parity * 2^(q-1).
 
 Scan dtype (``scan_precision``).  Let S = max_i sum_j |M_ij|; every row
 sum, prefix or suffix sum of a candidate is at most S in absolute value,
@@ -30,11 +38,12 @@ and a table entry at most 2S.  Integer entries are scanned in the
 narrowest of int8, int16, int32 and int64 that holds 3S, so the scan is
 exact, and an instance with 3S beyond int64 is refused with a
 ``ParameterError``; values are reported in int64.  Float entries are scanned
-in float32 (float64 if 3S overflows it).  The tables are built in the
-wide dtype (int64 or float64) and cast once; the high-bit running sums
-stay wide and are cast once per block, so the drift along the walk is
-one float64 rounding per block, and each block adds one float32 rounding
-of its own that does not carry over.
+in float32 (float64 if 3S overflows it).  Integer tables are built in the
+scan dtype, which holds every entry; float tables are summed in float64
+and cast once.  The high-bit running sums stay wide (int64 or float64) and
+are cast once per block, so the drift along the walk is one float64
+rounding per block, and each block adds one float32 rounding of its own
+that does not carry over.
 
 Re-decision.  Every reported value and row-sum vector is ``disc_value``
 of the witness, and a candidate whose scanned norm lies within the
@@ -45,9 +54,11 @@ of float64, and t the scan dtype's smallest subnormal, which bounds the
 absolute error of a rounding in the subnormal range.  Against the exact
 row sum, the wide running sum errs by at most (steps + n) w S (n - 1
 additions for the start, one per block), the wide table entry by
-2q w S, and the direct product ``disc_value`` by n w S.  The two casts
-and the narrow addition add at most u S + 2u S + u S.  |.| and max over
-rows are 1-Lipschitz, so
+2q w S, and the direct product ``disc_value`` by n w S.  The table bound
+has room to spare: a doubled entry is -2 times a sequential float64 sum
+of at most q of the M_ij, low bits first (doubling is exact), whose
+partial sums are at most S, so it errs by at most 2(q - 1) w S.  The two casts and the narrow addition add
+at most u S + 2u S + u S.  |.| and max over rows are 1-Lipschitz, so
 
     |scanned norm - disc_value norm| <= (4u + (steps + 4n) w) S + (steps + 4n + 4) t,
 
@@ -94,7 +105,7 @@ EXACT_MAX_N = 30
 ENUMERATE_MAX_N = 26
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-_BLOCK_BITS = 12
+_BLOCK_BYTES = 1 << 18
 
 SIGN_ORDERS = ("gray", "lex")
 
@@ -257,6 +268,32 @@ def scan_bounds(dtype: np.dtype, threshold: float, slack: float) -> tuple:
     return tuple(min(max(float(x), -top), top) for x in (threshold + slack, threshold - slack))
 
 
+def _suffix_table(entries: np.ndarray, q: int, dtype: np.dtype) -> np.ndarray:
+    """The (M, 2^q) suffix table: column r sums -2 M[:, j+1] over the set
+    bits j of gray(r), so that adding it to the row sums of a candidate with
+    the low q bits clear flips those columns.
+
+    Built by reflection doubling, T_{j+1} = [T_j, reverse(T_j) - 2 M[:, j+1]]:
+    q vector additions of M 2^j entries each, and no matmul.  Integer tables
+    are built in ``dtype``, which holds every entry (|entry| <= 2S <= 3S).
+    Float tables are summed in float64 in a half-width array, and the last
+    doubling writes both halves cast to ``dtype``, so the float64 copy takes
+    no more bytes than a float32 table.
+    """
+    m, b = entries.shape[0], 1 << q
+    table = aligned_empty((m, b), dtype)
+    wide = table if dtype.kind in "iu" else np.empty((m, max(b >> 1, 1)), np.float64)
+    step = (-2 * entries[:, 1:1 + q]).astype(wide.dtype)
+    table[:, 0] = wide[:, 0] = 0
+    for j in range(q):
+        h = 1 << j
+        dst = table if j == q - 1 else wide
+        if dst is not wide:
+            dst[:, :h] = wide[:, :h]
+        np.add(wide[:, h - 1::-1], step[:, j, None], out=dst[:, h:2 * h])
+    return table
+
+
 class _GrayScan:
     """Blocked halved Gray-code walk yielding per-candidate norms in the
     scan dtype of ``scan_precision``."""
@@ -264,18 +301,12 @@ class _GrayScan:
     def __init__(self, entries: np.ndarray):
         m, n = entries.shape
         self.entries = entries
-        self.q = q = min(_BLOCK_BITS, n - 1)
-        b = 1 << q
+        self.dtype = scan_precision(entries, 0)[0]
+        fit = _BLOCK_BYTES // (m * self.dtype.itemsize)
+        self.q = q = min(max(fit.bit_length() - 1, 0), n - 1)
         self.n_blocks = 1 << (n - 1 - q)
-        self.dtype, self.slack = scan_precision(entries, self.n_blocks)
-        r = np.arange(b, dtype=np.uint64)
-        gray = r ^ (r >> np.uint64(1))
-        bits = (signs_from_codes(gray, q + 1, "gray")[:, 1:] < 0).astype(entries.dtype)
-        suffix = (bits @ (-2 * entries[:, 1:1 + q]).T).astype(self.dtype)   # (b, M)
-        self.low = (gray, gray ^ np.uint64(b >> 1))
-        # gray(b-1-r) = gray(r) ^ (b>>1): odd blocks read the table reversed
-        self.tables = (np.ascontiguousarray(suffix.T),
-                       np.ascontiguousarray(suffix.T[:, ::-1]))  # (M, b) each
+        self.slack = scan_precision(entries, self.n_blocks)[1]
+        self.table = _suffix_table(entries, q, self.dtype)
         self.base = entries.sum(axis=1)
 
     def blocks(self):
@@ -283,11 +314,14 @@ class _GrayScan:
 
         norms[r] is ||M sigma||_inf of the block's r-th candidate in walk
         order, in the scan dtype; the array is reused by the next block.
+        An odd block visits table column b-1-r at its step r, since
+        gray(b-1-r) = gray(r) XOR (b>>1), so its norms are read reversed.
         """
         m = self.entries.shape[0]
         b = 1 << self.q
         buf = aligned_empty((m, b), self.dtype)
         vals = aligned_empty(b, self.dtype)
+        walk = (vals, vals[::-1])
         cur = self.base.copy()                  # wide high-bit row sums
         head = np.empty((m, 1), dtype=self.dtype)
         gray_high = 0
@@ -301,13 +335,16 @@ class _GrayScan:
                 else:
                     cur -= 2 * col
                     gray_high |= 1 << bit
-            par = j & 1
             head[:, 0] = cur
-            yield par, gray_high, max_abs_rows(head, self.tables[par], buf, vals)
+            max_abs_rows(head, self.table, buf, vals)
+            yield j & 1, gray_high, walk[j & 1]
 
     def codes(self, parity: int, gray_high: int, rs) -> np.ndarray:
-        """Walk codes of within-block candidate positions ``rs``."""
-        return np.uint64(gray_high << self.q) | self.low[parity][rs]
+        """Walk codes of within-block candidate positions ``rs``:
+        gray(r) XOR parity (b>>1) in the low q bits, gray_high above."""
+        r = np.asarray(rs, dtype=np.uint64)
+        low = r ^ (r >> np.uint64(1)) ^ np.uint64(parity * ((1 << self.q) >> 1))
+        return np.uint64(gray_high << self.q) | low
 
 
 def _direct_value(inst: Instance, code, order: str = "gray") -> Union[int, float]:
@@ -332,7 +369,7 @@ def exact_discrepancy(inst: Instance, max_n: Optional[int] = None) -> Discrepanc
     best = np.inf
     best_code = np.uint64(0)
     for par, gh, vals in scan.blocks():
-        r = int(np.argmin(vals))
+        r = int(vals.argmin())
         if not slack:
             if vals[r] < best:
                 best, best_code = vals[r], scan.codes(par, gh, r)
@@ -377,6 +414,7 @@ def enumerate_below(inst: Instance, threshold: float,
                 keep[i] = _direct_value(inst, codes[i]) <= threshold
             codes = codes[keep]
         found.append(codes)
+    del scan            # free its table before the sign matrix is built
     if not found:
         return np.empty((0, n), dtype=np.int8)
     half = signs_from_codes(np.concatenate(found), n, "gray")

@@ -434,6 +434,8 @@ def stability_probe(alg, rho: float, trials: int, n: int, rows: int,
         raise ParameterError(f"rho must lie in [0,1], got {rho}")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not math.isfinite(threshold):
+        raise ParameterError(f"threshold must be finite, got {threshold}")
     tau = math.acos(rho)
     d_h = np.empty(trials, dtype=np.int64)
     fro = np.empty(trials, dtype=np.float64)

@@ -40,6 +40,7 @@ Shipped algorithms:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -104,8 +105,8 @@ class PotentialOnline:
     name = "potential"
 
     def __init__(self, lam: float | None = None):
-        if lam is not None and not lam > 0:
-            raise ParameterError(f"lambda must be positive, got {lam}")
+        if lam is not None and not 0 < lam < math.inf:
+            raise ParameterError(f"lambda must be positive and finite, got {lam}")
         self.lam = lam
 
     def start(self, rows: int, omegas=(0,)):

@@ -270,6 +270,8 @@ def gaussian_box_bound(m: int, beta: float, eta: Union[float, Sequence[float]],
     probability, so evaluating the bound at the unscaled covariance
     covers every angle choice.
     """
+    if not (0 < K < math.inf and 0 < n < math.inf):
+        raise ParameterError(f"K and n must be positive and finite, got K={K}, n={n}")
     if np.isscalar(eta):
         eta_vec = [float(eta)] * (m * (m - 1) // 2)
     else:

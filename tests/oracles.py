@@ -71,6 +71,20 @@ def gray_first_minimizer(entries):
     return sigma[int(np.argmin(vals))]
 
 
+def gray_suffix_table(entries, q):
+    """The exact solver's (M, 2^q) suffix table from its definition: column r
+    sums -2 * M[:, j+1] over the set bits j of gray(r) = r XOR (r >> 1), in
+    the entries' own dtype, low bits first."""
+    entries = np.asarray(entries)
+    table = np.zeros((entries.shape[0], 1 << q), dtype=entries.dtype)
+    for r in range(1 << q):
+        g = r ^ (r >> 1)
+        for j in range(q):
+            if (g >> j) & 1:
+                table[:, r] += -2 * entries[:, j + 1]
+    return table
+
+
 def naive_solution_set(entries, threshold):
     """Frozen set of sign tuples with max-norm <= threshold."""
     entries = np.asarray(entries)

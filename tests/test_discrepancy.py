@@ -9,10 +9,21 @@ from disclab import (CapacityError, Instance, ParameterError,
                      UnsupportedDisorderError, disc_value, enumerate_below,
                      enumerate_solutions, exact_discrepancy, generate, parse_sign_string,
                      sbp_membership, search_xi_sbp, sign_string)
-from disclab.discrepancy import (aligned_empty, codes_from_signs, scan_precision,
-                                 signs_from_codes)
-from oracles import (gray_first_minimizer, naive_disc_value, naive_exact_value,
-                     naive_solution_set)
+from disclab import discrepancy
+from disclab.discrepancy import (_GrayScan, _suffix_table, _work_entries, aligned_empty,
+                                 codes_from_signs, scan_precision, signs_from_codes)
+from oracles import (gray_first_minimizer, gray_suffix_table, naive_disc_value,
+                     naive_exact_value, naive_solution_set)
+
+# block budgets in bytes (None: the default _BLOCK_BYTES); a small budget cuts
+# the walk into many blocks of both parities, and 1 byte gives blocks of one
+# candidate (q = 0)
+BLOCK_BUDGETS = [1, 16, 64, 512, None]
+
+
+def _set_budget(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(discrepancy, "_BLOCK_BYTES", budget)
 
 
 def _inst(rows, disorder="rademacher"):
@@ -76,22 +87,71 @@ def test_exact_matches_naive_all_disorders():
             assert disc_value(inst, got.argmin).value == got.value
 
 
-def test_exact_multi_block_path():
-    # n - 1 > block bits so the high-bit incremental updates are exercised
+def test_exact_multi_block_path(monkeypatch):
+    # below the default budget the high-bit incremental updates and the
+    # reversed reads of odd blocks are exercised
     inst = generate(3, 16, "rademacher", 99)
-    assert exact_discrepancy(inst).value == naive_exact_value(inst.entries)
+    want = naive_exact_value(inst.entries), gray_first_minimizer(inst.entries)
+    for budget in BLOCK_BUDGETS:
+        with monkeypatch.context() as mp:
+            _set_budget(mp, budget)
+            assert (_GrayScan(_work_entries(inst)).n_blocks > 1) == (budget is not None)
+            res = exact_discrepancy(inst)
+        assert res.value == want[0]
+        assert np.array_equal(res.argmin, want[1])
 
 
 @pytest.mark.parametrize("kind,rows,cols", [
     ("rademacher", 5, 10), ("rademacher", 4, 13), ("rademacher", 6, 15),
     ("rademacher", 3, 17), ("bernoulli", 4, 12), ("bernoulli", 3, 13),
     ("bernoulli", 4, 16)])
-def test_exact_argmin_first_in_walk_order(kind, rows, cols):
-    # n-1 <= 12 scans one block; n-1 > 12 walks several blocks of both parities
+def test_exact_argmin_first_in_walk_order(kind, rows, cols, monkeypatch):
+    # the default budget scans these in one block, the smaller ones in many
     for seed in range(4):
         inst = generate(rows, cols, kind, seed, p=0.5 if kind == "bernoulli" else None)
         want = gray_first_minimizer(inst.entries)
-        assert np.array_equal(exact_discrepancy(inst).argmin, want)
+        for budget in BLOCK_BUDGETS:
+            with monkeypatch.context() as mp:
+                _set_budget(mp, budget)
+                assert np.array_equal(exact_discrepancy(inst).argmin, want)
+
+
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS[:-1])
+@pytest.mark.parametrize("disorder", ["rademacher", "bernoulli", "gaussian"])
+def test_every_block_size_gives_the_same_answers(disorder, budget, monkeypatch):
+    for n in range(1, 16):
+        inst = generate(1 + n % 4, n, disorder, 100 + n,
+                        p=0.5 if disorder == "bernoulli" else None)
+        threshold = disc_value(inst, signs_from_codes([(1 << n) // 3], n, "lex")[0]).value
+        assert _GrayScan(_work_entries(inst)).n_blocks == 1
+        want = enumerate_below(inst, threshold)
+        with monkeypatch.context() as mp:
+            mp.setattr(discrepancy, "_BLOCK_BYTES", budget)
+            res = exact_discrepancy(inst)
+            got = enumerate_below(inst, threshold)
+        assert np.array_equal(res.argmin, gray_first_minimizer(inst.entries))
+        assert res.value == disc_value(inst, res.argmin).value
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("disorder", ["rademacher", "bernoulli", "gaussian"])
+def test_suffix_table_matches_its_definition(disorder, monkeypatch):
+    inst = generate(5, 12, disorder, 7, p=0.5 if disorder == "bernoulli" else None)
+    entries = _work_entries(inst)
+    s = float(np.abs(entries).sum(axis=1).max())
+    dtype = scan_precision(entries, 0)[0]
+    for q in range(12):
+        monkeypatch.setattr(discrepancy, "_BLOCK_BYTES", 5 * dtype.itemsize << q)
+        scan = _GrayScan(entries)
+        assert scan.q == q and scan.table.dtype == scan.dtype
+        want = gray_suffix_table(entries, q)
+        if disorder == "gaussian":
+            # summed in float64, then cast once to the scan dtype
+            wide = _suffix_table(entries, q, np.dtype(np.float64))
+            assert np.all(np.abs(wide - want) <= q * np.finfo(np.float64).eps * s)
+            assert np.array_equal(scan.table, wide.astype(scan.dtype))
+        else:
+            assert np.array_equal(scan.table, want)
 
 
 def test_exact_reports_direct_product_gaussian():

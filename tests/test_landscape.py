@@ -281,6 +281,9 @@ def test_stability_validation():
         stability_probe(GreedyOnline(), 1.5, 5, 8, 2, threshold=1.0)
     with pytest.raises(ParameterError):
         stability_probe(GreedyOnline(), 0.5, 0, 8, 2, threshold=1.0)
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="threshold must be finite"):
+            stability_probe(GreedyOnline(), 0.5, 3, 8, 2, threshold=threshold)
 
 
 def test_stability_probe_refuses_a_float_seed():

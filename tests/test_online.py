@@ -81,6 +81,9 @@ def test_potential_lambda_validation():
         PotentialOnline(0.0)
     with pytest.raises(ParameterError):
         make_algorithm("potential", -1.0)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            PotentialOnline(lam)
     with pytest.raises(ParameterError):
         make_algorithm("nope")
     for name in ("greedy", "random"):         # only potential reads lambda

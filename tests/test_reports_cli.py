@@ -260,6 +260,27 @@ def test_cli_lambda_without_potential_is_one_error_line(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+_BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    _BOX_BOUND + ["--K", "1", "--n", "0"],
+    _BOX_BOUND + ["--K", "1", "--n", "-4"],
+    _BOX_BOUND + ["--K", "-1", "--n", "4"],
+    _BOX_BOUND + ["--K", "nan", "--n", "4"],
+    _BOX_BOUND + ["--K", "1", "--n", "nan"],
+    _BOX_BOUND + ["--K", "inf", "--n", "4"],
+    ["online", "--alg", "potential", "--lambda", "inf", "--rows", "2", "--cols", "4",
+     "--seeds", "0..0"],
+    ["landscape", "stability", "--alg", "greedy", "--rho", "0.9", "--rows", "2",
+     "--cols", "4", "--trials", "3", "--threshold", "nan"]])
+def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_cli_experiment(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "online", "alg": "random", "rows": 2,

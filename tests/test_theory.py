@@ -202,6 +202,14 @@ def test_gaussian_box_bound_nonpd_error():
         gaussian_box_bound(3, 0.99, -0.5, K=1.0, n=1.0)   # off-diag > 1
 
 
+@pytest.mark.parametrize("K, n", [(1.0, 0.0), (1.0, -4.0), (-1.0, 4.0), (0.0, 4.0),
+                                  (math.nan, 4.0), (1.0, math.nan), (math.inf, 4.0),
+                                  (1.0, math.inf)])
+def test_gaussian_box_bound_refuses_bad_K_and_n(K, n):
+    with pytest.raises(ParameterError, match="K and n must be positive and finite"):
+        gaussian_box_bound(2, 0.5, 0.0, K=K, n=n)
+
+
 def test_mc_box_trivial_and_m1():
     est = mc_box_probability(np.eye(2), 50.0, 10_000, seed=1)
     assert est.estimate == 1.0 and est.std_error == 0.0
