@@ -122,8 +122,12 @@ def as_sign_vector(sigma, n: int | None = None) -> np.ndarray:
     return arr.astype(np.int8)
 
 
+_SIGN_CHARS = np.frombuffer(b"-+", dtype=np.uint8)
+
+
 def sign_string(sigma) -> str:
-    return "".join("+" if s > 0 else "-" for s in np.asarray(sigma))
+    """'+' for each coordinate > 0 and '-' for any other, in one table lookup."""
+    return _SIGN_CHARS.take(np.asarray(sigma) > 0).tobytes().decode("ascii")
 
 
 def parse_sign_string(s: str) -> np.ndarray:
@@ -132,27 +136,33 @@ def parse_sign_string(s: str) -> np.ndarray:
     return np.array([1 if ch == "+" else -1 for ch in s], dtype=np.int8)
 
 
-def _code_bits(n: int, order: str) -> tuple[np.ndarray, int]:
-    """(bit position of each coded coordinate, index of the first coded one).
+def _code_layout(n: int, order: str) -> tuple[np.uint64, str, str]:
+    """(shift, byte order, bit order) such that the first n bits of
+    ``code << shift``, as 8 bytes in that byte order unpacked in that bit
+    order, are coordinates 1..n left to right (a set bit means -1).
 
     "gray": the exact solver's walk codes; sigma(1) = +1 is implied and bit
     b holds coordinate b+2.  "lex": bit n-j holds coordinate j, so ascending
-    codes order the cube lexicographically with +1 < -1.  A set bit means -1.
+    codes order the cube lexicographically with +1 < -1.
     """
     if order == "gray":
-        return np.arange(n - 1, dtype=np.uint64), 1
+        return np.uint64(1), "<u8", "little"
     if order == "lex":
-        return np.arange(n - 1, -1, -1, dtype=np.uint64), 0
+        return np.uint64(64 - n), ">u8", "big"
     raise ParameterError(f"unknown sign-code order {order!r}, expected one of {SIGN_ORDERS}")
 
 
 def signs_from_codes(codes, n: int, order: str) -> np.ndarray:
-    """uint64 codes -> (len(codes), n) int8 sign matrix in the given order."""
-    shifts, first = _code_bits(n, order)
-    codes = np.asarray(codes, dtype=np.uint64)
-    out = np.ones((codes.shape[0], n), dtype=np.int8)
-    bits = (codes[:, None] >> shifts[None, :]) & np.uint64(1)
-    out[:, first:] = 1 - 2 * bits.astype(np.int8)
+    """uint64 codes -> (len(codes), n) int8 sign matrix in the given order.
+
+    The codes' bytes are unpacked straight into the result, so besides it
+    the call holds O(len(codes)) memory."""
+    shift, byteorder, bitorder = _code_layout(n, order)
+    raw = (np.asarray(codes, dtype=np.uint64) << shift).astype(byteorder, copy=False)
+    out = np.unpackbits(raw.view(np.uint8).reshape(-1, 8), axis=1, count=n,
+                        bitorder=bitorder).view(np.int8)
+    out *= -2
+    out += 1
     return out
 
 
@@ -163,9 +173,12 @@ def codes_from_signs(signs, order: str) -> np.ndarray:
     the exact walk visits.
     """
     signs = np.asarray(signs)
-    shifts, first = _code_bits(signs.shape[1], order)
-    bits = (signs[:, first:] < 0).astype(np.uint64)
-    return bits @ (np.uint64(1) << shifts)
+    count, n = signs.shape
+    shift, byteorder, bitorder = _code_layout(n, order)
+    bits = np.zeros((count, 64), dtype=bool)      # one flat pack is far cheaper than per row
+    np.less(signs, 0, out=bits[:, :n])
+    packed = np.packbits(bits.reshape(-1), bitorder=bitorder).view(byteorder)
+    return packed.astype(np.uint64) >> shift
 
 
 @dataclass(frozen=True)

@@ -3,36 +3,55 @@
 An online algorithm assigns the sign of coordinate t after seeing columns
 1..t only.  ``run_online_batch`` runs B instances of one shape side by
 side and is the only loop that feeds columns; ``run_online`` is its case
-B = 1.  It copies the columns, a block at a time, into a contiguous
-read-only (k, B, M) buffer.  ``alg.start(rows, omegas)`` gets the row
-count M and one auxiliary seed per instance and returns the scratch state.
-
-Step protocol.  ``alg.step(scratch, partial_sums, column)`` is called for
-each column t in order, with read-only (B, M) views of the running signed
-sums and of column t, and returns B signs or one scalar sign that
-broadcasts.  Steps reduce over axis -1, so a (M,) call is the
-single-instance case.  Column t+1 has not been handed over yet, so a step
-reads columns 1..t only by construction.
+B = 1.  ``alg.start(rows, omegas)`` gets the row count M and one auxiliary
+seed per instance and returns the scratch state.  An algorithm follows
+one of three protocols, looked up in this order:
 
 Block protocol.  An algorithm whose sign t depends only on its scratch
-state, t and column t may define ``alg.sign_block(scratch, t0, columns)``
-instead: it gets a block's (k, B, M) columns t0..t0+k-1 and returns the
-(k, B) signs, and the harness keeps no running sums.  The signer sees the
-whole block, so that sign t reads column t only is a contract, not a
-structural guarantee; the prefix tests, run across block boundaries,
-check it.
+state, t and column t defines ``alg.sign_block(scratch, t0, columns)``: it
+gets a block's contiguous read-only (k, B, M) columns t0..t0+k-1 and
+returns the (k, B) signs, and the harness keeps no running sums.  The
+signer sees the whole block, so that sign t reads column t only is a
+contract, not a structural guarantee; the prefix tests, run across block
+boundaries, check it.
 
-Every sign must be exactly -1 or +1.  Raw outputs are kept in a float64
-buffer, which cannot truncate 1.5 to 1, and checked once per run; an
-output of the wrong shape or type fails at once.  Either way the
+Score protocol.  An algorithm that picks the sign minimizing a score of
+the updated sums defines ``alg.score(scratch, candidates)``: it gets the
+read-only (2, B, M) candidate sums, row 0 = partial + column and row 1 =
+partial - column, and returns (2, B) scores.  The sign is +1 where
+score[0] <= score[1] (ties go to +1), so a score must compare exactly in
+its own dtype: greedy on an integer instance keeps int64 norms.  Once per
+column block, before any of its columns, the harness scores the widest
+sums the block can reach (the row l1 norms so far, widened by the rounding
+of a float sum); a score that overflows float64 or is NaN there, such as
+potential's at a lambda too large for the entries, raises
+``ParameterError``.
+
+Step protocol.  Any other algorithm defines ``alg.step(scratch,
+partial_sums, column)``.  It is called for each column t in order, with
+read-only (B, M) views of the running signed sums and of column t, and
+returns B signs or one scalar sign that broadcasts.  Steps reduce over
+axis -1, so a (M,) call is the single-instance case.  A score algorithm's
+``step`` is derived from its ``score`` by ``_ScoreSteps``.
+
+The per-column loop serves score and step algorithms alike.  It builds
+each block's exact (k, 2, B, M) +-column pairs once; per column one add
+writes both candidates into a (2, B, M) buffer, and the chosen row becomes
+the running sums, bit for bit ``partial + s * column``: at B = 1 the loop
+alternates two buffers and copies nothing, at B > 1 a masked copy selects
+the row.  Column t+1 has not been handed over when sign t is decided, so
+score and step algorithms read columns 1..t only by construction.
+
+Every sign must be exactly -1 or +1.  Raw step and block outputs are kept
+in a float64 buffer, which cannot truncate 1.5 to 1, and checked once per
+run; an output of the wrong shape or type fails at once.  Either way the
 ``ContractViolationError`` names the algorithm and the step.
 
 Shipped algorithms:
 
-* greedy    -- (step) pick the sign minimizing the max-norm of the
-  updated sums;
-* potential -- (step) pick the sign minimizing sum_i cosh(lambda * w_i), a
-  softmax-style surrogate for the max-norm (ties go to +1 in both);
+* greedy    -- (score) the max-norm of the updated sums;
+* potential -- (score) log sum_i cosh(lambda * w_i) of the updated sums, a
+  softmax-style surrogate for the max-norm;
 * random    -- (block) a column-hash-keyed coin flip; it ignores the
   geometry but is a deterministic function of (aux seed, t, column t).
 """
@@ -55,12 +74,14 @@ _LOG2 = float(np.log(2.0))
 # last counter word of the random signer's Philox blocks
 _RANDOM_TAG = 3
 # A column block holds at most _COLUMN_BLOCK entries and _BLOCK_COLUMNS
-# instance columns.  A strided column view makes every ufunc of a step about
-# twice as slow at B = 1.  The column cap bounds a block signer's
-# temporaries: random keeps about 100 bytes per instance column.
+# instance columns (the column loop's +-column pairs twice that).  A strided
+# column view makes every ufunc of a step about twice as slow at B = 1.  The
+# column cap bounds a block signer's temporaries: random keeps about 100
+# bytes per instance column.
 _COLUMN_BLOCK = 1 << 13
 _BLOCK_COLUMNS = 1 << 9
 _PLUS_MINUS = np.array([-1, 1])
+_SIGN_BYTES = _PLUS_MINUS.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -80,7 +101,15 @@ def _signs_of(plus_wins: np.ndarray) -> np.ndarray:
     return _PLUS_MINUS.take(plus_wins)
 
 
-class GreedyOnline:
+class _ScoreSteps:
+    """The ``step`` of a score algorithm, for callers that feed one column."""
+
+    def step(self, scratch, partial_sums, column):
+        scores = self.score(scratch, np.array((partial_sums + column, partial_sums - column)))
+        return _signs_of(scores[0] <= scores[1])
+
+
+class GreedyOnline(_ScoreSteps):
     """Sign minimizing ||partial + s * column||_inf; ties -> +1."""
 
     name = "greedy"
@@ -88,18 +117,17 @@ class GreedyOnline:
     def start(self, rows: int, omegas=(0,)):
         return None
 
-    def step(self, scratch, partial_sums, column):
-        plus = _max_abs(partial_sums + column)
-        minus = _max_abs(partial_sums - column)
-        return _signs_of(plus <= minus)
+    def score(self, scratch, candidates):
+        return _max_abs(candidates)
 
 
-class PotentialOnline:
+class PotentialOnline(_ScoreSteps):
     """Sign minimizing Phi(w) = sum_i cosh(lambda * w_i); ties -> +1.
 
     With lam=None the scale defaults to 1/sqrt(M) at run start.  Phi is
     compared through log Phi = m + log sum_i (e^(a_i - m) + e^(-a_i - m))
-    - log 2 with m = max_i |a_i|, which is stable for large |a|.
+    - log 2 with a = lambda * w and m = max_i |a_i|, which is stable for
+    large |a|.
     """
 
     name = "potential"
@@ -112,14 +140,17 @@ class PotentialOnline:
     def start(self, rows: int, omegas=(0,)):
         return self.lam if self.lam is not None else 1.0 / np.sqrt(rows)
 
-    def step(self, scratch, partial_sums, column):
-        lam = scratch
-        # +column and -column as one (2, ..., M) array, reduced over its last axis
-        a = lam * np.array((partial_sums + column, partial_sums - column))
-        m = _max_abs(a)
-        mb = m[..., None]
-        log_phi = m + np.log(np.add.reduce(np.exp(a - mb) + np.exp(-a - mb), -1)) - _LOG2
-        return _signs_of(log_phi[0] <= log_phi[1])
+    def score(self, lam, candidates):
+        # a and -a stacked, so one exp serves both; max(a, -a) is |a| up to
+        # the sign of a zero, which no later step can see
+        e = np.empty((2,) + candidates.shape)
+        np.multiply(candidates, lam, out=e[0])
+        np.negative(e[0], out=e[1])
+        m = np.maximum.reduce(e, axis=(0, -1))
+        np.subtract(e, m[..., None], out=e)
+        np.exp(e, out=e)
+        total = np.add.reduce(np.add(e[0], e[1], out=e[0]), -1)
+        return m + np.log(total) - _LOG2
 
 
 class RandomSigningOnline:
@@ -180,33 +211,109 @@ def _block_width(b: int, m: int) -> int:
     return max(1, min(_COLUMN_BLOCK // max(1, b * m), _BLOCK_COLUMNS // max(1, b)))
 
 
-def _column_steps(alg, per: int, b: int, m: int, dtype):
-    """The ``sign_block`` of a step algorithm: feed the block's columns to
-    ``alg.step`` one at a time, keeping the running signed sums."""
-    partial = np.zeros((b, m), dtype=dtype)
-    partial_view = partial.view()
-    partial_view.setflags(write=False)
-    raw = np.empty((per, b), dtype=np.float64)
-    signs = raw if dtype == np.float64 else np.empty((per, b), dtype=dtype)
-    sign_cols = signs[:, :, None]
-    step = alg.step
+def _check_reach(alg, scratch, widest: np.ndarray, t: int) -> None:
+    """Refuse a score algorithm whose score of ``widest``, the (2, B, M)
+    widest sums the next columns can reach, overflows float64 or is NaN:
+    its decisions there would be noise."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            finite = not np.isnan(alg.score(scratch, widest)).any()
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ParameterError(
+            f"online algorithm {alg.name!r} cannot score row sums up to "
+            f"{float(widest.max()):.6g} (columns from step {t} on): its parameters "
+            f"overflow float64 on these entries")
 
-    def sign_block(scratch, t0, columns):
-        nonlocal partial                  # += is in place, and cheaper than np.add(out=)
-        for j, col in enumerate(columns):
-            s = step(scratch, partial_view, col)
-            try:
-                raw[j] = s
-                if signs is not raw:
-                    signs[j] = s
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ContractViolationError(
-                    f"online step returned {s!r}, expected -1 or +1 for each of {b} "
-                    f"instances (algorithm {alg.name!r}, step {t0 + j})") from exc
-            partial += sign_cols[j] * col
-        return raw[:len(columns)]
 
-    return sign_block
+def _block_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
+    """(n, B) raw outputs of a block algorithm, one ``sign_block`` call per block."""
+    b, m, n = work.shape
+    per = max(1, min(n, _block_width(b, m)))
+    steps = np.empty((n, b), dtype=np.float64)
+    block = np.empty((per, b, m), dtype=work.dtype)
+    block_view = block.view()              # what algorithms see is read-only
+    block_view.setflags(write=False)
+    for t0 in range(0, n, per):
+        k = min(per, n - t0)
+        np.copyto(block[:k], work[:, :, t0:t0 + k].transpose(2, 0, 1))
+        s = alg.sign_block(scratch, t0, block_view[:k])
+        try:
+            if np.shape(s) != (k, b):
+                raise ValueError(f"shape {np.shape(s)}")
+            steps[t0:t0 + k] = s
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ContractViolationError(
+                f"online sign_block returned {exc}, expected a ({k}, {b}) array of -1 "
+                f"and +1 (algorithm {alg.name!r}, step {t0})") from exc
+    return steps
+
+
+def _column_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
+    """(n, B) record of a score or step algorithm, True where sign t is +1;
+    the one per-column loop (see the module docstring)."""
+    b, m, n = work.shape
+    per = max(1, min(n, _block_width(b, m)))
+    score = getattr(alg, "score", None)
+    step = None if score else alg.step
+    pairs = np.empty((per, 2, b, m), dtype=work.dtype)      # a block's +-columns
+    pairs_view = pairs.view()
+    pairs_view.setflags(write=False)
+    bufs = np.zeros((2, 2, b, m), dtype=work.dtype)         # two candidate buffers
+    bufs_view = bufs.view()
+    bufs_view.setflags(write=False)
+    outs, cands = tuple(bufs), tuple(bufs_view)
+    rows = tuple(tuple(c) for c in cands)
+    selects = tuple((o[1], o[0]) for o in outs)
+    plus = np.empty((n, b), dtype=bool)
+    plus_cols = plus[:, :, None]
+    raw = None if score else np.empty((n, b), dtype=np.float64)
+    # float64 bound on every |partial +- column| of the columns fed so far:
+    # the row l1 norms, widened for the rounding of a sum of n float terms
+    reach = np.zeros((b, m))
+    widen = 1.0 + (n + 2) * 2.0 ** -50
+    widest = np.empty((2, b, m))
+    widest_view = widest.view()
+    widest_view.setflags(write=False)
+    partial = rows[1][0]                    # zeros
+    i = 0                                   # the buffer the next add writes
+    for t0 in range(0, n, per):
+        k = min(per, n - t0)
+        plus_block, minus_block = pairs[:k, 0], pairs[:k, 1]
+        np.copyto(plus_block, work[:, :, t0:t0 + k].transpose(2, 0, 1))
+        if score:
+            reach += np.add.reduce(np.abs(plus_block, out=minus_block), 0, np.float64)
+            np.multiply(reach, widen, out=widest)
+            _check_reach(alg, scratch, widest_view, t0)
+        np.negative(plus_block, out=minus_block)
+        for t, pair in enumerate(pairs_view[:k], t0):
+            np.add(partial, pair, out=outs[i])
+            if score:
+                s = score(scratch, cands[i])
+                if b == 1:
+                    plus[t, 0] = s[0, 0] <= s[1, 0]
+                else:
+                    np.less_equal(s[0], s[1], out=plus[t])
+            else:
+                s = step(scratch, partial, pair[0])
+                try:
+                    raw[t] = s
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ContractViolationError(
+                        f"online step returned {s!r}, expected -1 or +1 for each of {b} "
+                        f"instances (algorithm {alg.name!r}, step {t})") from exc
+                np.greater(raw[t], 0, out=plus[t])
+            if b == 1:
+                partial = rows[i][0 if plus[t, 0] else 1]
+            else:
+                dst, src = selects[i]
+                np.copyto(dst, src, where=plus_cols[t])
+                partial = rows[i][1]
+            i ^= 1
+    if raw is not None:
+        _check_steps(alg, raw)
+    return plus
 
 
 def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
@@ -230,27 +337,13 @@ def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.n
     b, m, n = work.shape
     if len(omegas) != b:
         raise ParameterError(f"need one omega per instance: {len(omegas)} for {b}")
-    steps = np.empty((n, b), dtype=np.float64)
-    per = max(1, min(n, _block_width(b, m)))
-    block = np.empty((per, b, m), dtype=work.dtype)
-    block_view = block.view()              # what algorithms see is read-only
-    block_view.setflags(write=False)
     scratch = alg.start(m, omegas)
-    sign_block = getattr(alg, "sign_block", None) or _column_steps(alg, per, b, m, work.dtype)
-    for t0 in range(0, n, per):
-        k = min(per, n - t0)
-        np.copyto(block[:k], work[:, :, t0:t0 + k].transpose(2, 0, 1))
-        s = sign_block(scratch, t0, block_view[:k])
-        try:
-            if np.shape(s) != (k, b):
-                raise ValueError(f"shape {np.shape(s)}")
-            steps[t0:t0 + k] = s
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ContractViolationError(
-                f"online sign_block returned {exc}, expected a ({k}, {b}) array of -1 "
-                f"and +1 (algorithm {alg.name!r}, step {t0})") from exc
-    _check_steps(alg, steps)
-    sigma = np.ascontiguousarray(steps.T, dtype=np.int8)
+    if getattr(alg, "sign_block", None):
+        steps = _block_signs(alg, scratch, work)
+        _check_steps(alg, steps)
+        sigma = np.ascontiguousarray(steps.T, dtype=np.int8)
+    else:
+        sigma = _SIGN_BYTES.take(_column_signs(alg, scratch, work).T)
     sums = np.empty((b, m), dtype=work.dtype)
     for i in range(b):
         sums[i] = work[i] @ sigma[i].astype(work.dtype)

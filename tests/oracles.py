@@ -184,3 +184,30 @@ def full_draw_box_probability(covariance, half_width, samples, seed, chunk=1 << 
         x = np.abs(correlate(chol, philox.gaussians(seed, idx, dim, 4)))
         hits += int(np.count_nonzero(x.max(axis=0) <= half_width))
     return hits / samples
+
+
+def online_signs(entries, rule, lam=None):
+    """Greedy or potential signs of one (M, n) instance replayed from the
+    definition, one column at a time: sign t compares the two updated sums
+    partial +- column t (ties go to +1), then ``partial += s * column``.
+    Greedy compares max |.|; potential decides by ``potential_sign`` at lam,
+    1/sqrt(M) when lam is None.  Entries run as float64 or int64."""
+    entries = np.asarray(entries)
+    entries = entries.astype(np.float64 if entries.dtype.kind == "f" else np.int64)
+    rows, n = entries.shape
+    if lam is None:
+        lam = 1.0 / np.sqrt(rows)
+    partial = np.zeros(rows, dtype=entries.dtype)
+    out = []
+    for t in range(n):
+        column = entries[:, t]
+        if rule == "greedy":
+            plus = np.max(np.abs(partial + column)) <= np.max(np.abs(partial - column))
+            s = 1 if plus else -1
+        elif rule == "potential":
+            s = potential_sign(lam, partial, column)
+        else:
+            raise ValueError(f"no online oracle for {rule!r}")
+        partial += s * column
+        out.append(s)
+    return np.array(out, dtype=np.int8)

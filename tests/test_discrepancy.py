@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,50 @@ def test_sign_string_roundtrip():
         parse_sign_string("+x-")
     with pytest.raises(ParameterError):
         parse_sign_string("")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1024])
+def test_sign_string_equals_the_per_coordinate_definition(n):
+    rng = np.random.default_rng(n)
+    vectors = [rng.choice(np.array([-1, 1], dtype=np.int8), n), rng.standard_normal(n),
+               rng.integers(-2, 3, n), rng.choice([0.0, -0.0, np.nan, 1e-300, -1.0], n)]
+    for sigma in vectors + [list(vectors[0])]:
+        assert sign_string(sigma) == "".join("+" if s > 0 else "-" for s in sigma)
+
+
+def _signs_by_bits(code, n, order):
+    # the sign-code convention one coordinate at a time (see _code_layout)
+    if order == "gray":
+        return [1] + [-1 if (code >> b) & 1 else 1 for b in range(n - 1)]
+    return [-1 if (code >> (n - j)) & 1 else 1 for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("order", ["gray", "lex"])
+def test_signs_from_codes_equal_the_per_bit_definition(order):
+    rng = np.random.default_rng(17)
+    for n in range(1, 65):
+        bits = n - 1 if order == "gray" else n
+        codes = rng.integers(0, 2**64 - 1, 12, dtype=np.uint64, endpoint=True)
+        codes &= np.uint64((1 << bits) - 1)
+        want = [_signs_by_bits(int(c), n, order) for c in codes]
+        got = signs_from_codes(codes, n, order)
+        assert got.dtype == np.int8 and got.tolist() == want, n
+        assert codes_from_signs(got, order).tolist() == codes.tolist(), n
+    assert signs_from_codes(np.empty(0, dtype=np.uint64), 5, order).shape == (0, 5)
+
+
+@pytest.mark.parametrize("order, n", [("gray", 22), ("lex", 21)])
+def test_signs_from_codes_holds_the_output_plus_o_count(order, n):
+    # it once built two (count, n) uint64 temporaries: a 706 KB peak for this
+    # 67 KB output
+    codes = np.random.default_rng(3).integers(0, 1 << 21, 3104).astype(np.uint64)
+    tracemalloc.start()
+    try:
+        out = signs_from_codes(codes, n, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 16 * codes.shape[0] + 4096
 
 
 @settings(max_examples=200, deadline=None)

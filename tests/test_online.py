@@ -9,8 +9,10 @@ from disclab import (ALGORITHMS, ContractViolationError, GreedyOnline, Instance,
                      ParameterError, PotentialOnline, RandomSigningOnline,
                      generate, generate_batch, make_algorithm, philox, random_signing,
                      resample_suffix, run_greedy_batch, run_online, run_online_batch)
+from disclab import online
+from disclab.landscape import stability_probe
 from disclab.online import _block_width
-from oracles import potential_sign, random_signs
+from oracles import online_signs, potential_sign, random_signs
 
 
 class ConstantPlus:
@@ -41,6 +43,13 @@ def test_greedy_step_rules():
     g = GreedyOnline()
     assert g.step(None, np.zeros(2), np.array([1.0, 0.0])) == 1      # tie -> +1
     assert g.step(None, np.array([5.0, 0.0]), np.array([1.0, 0.0])) == -1
+
+
+def test_greedy_decides_integer_instances_on_exact_int64_norms():
+    # 2^54 + 1 and 2^54 - 1 round to one float64: a float score would call
+    # the second column a tie and sign it +1
+    inst = Instance(1, 2, "rademacher", 0, np.array([[2**54, 1]], dtype=np.int64))
+    assert tuple(run_online(GreedyOnline(), inst).sigma) == (1, -1)
 
 
 def test_greedy_m1_bounded_walk():
@@ -204,7 +213,7 @@ def test_batch_harness_equals_single_runs(b, m, n, disorder, alg, seed):
         assert np.array_equal(sums[i], entries[i] @ signs[i].astype(entries.dtype))
 
 
-@pytest.mark.parametrize("target", ["partial", "column"])
+@pytest.mark.parametrize("target", ["partial", "column", "candidates"])
 def test_steps_see_read_only_inputs(target):
     class Writer:
         name = "writer"
@@ -216,9 +225,27 @@ def test_steps_see_read_only_inputs(target):
             (partial if target == "partial" else column)[...] = 0
             return 1
 
+    class ScoreWriter(Writer):
+        def score(self, scratch, candidates):
+            candidates[...] = 0
+            return np.zeros(candidates.shape[:-1])
+
     entries = np.array(generate_batch(2, 6, "gaussian", np.arange(3)))   # writable
     with pytest.raises(ValueError, match="read-only"):
-        run_online_batch(Writer(), entries, np.arange(3))
+        run_online_batch(ScoreWriter() if target == "candidates" else Writer(), entries,
+                         np.arange(3))
+
+
+def test_scores_see_read_only_candidates_on_every_call():
+    seen = []
+
+    class Spy(GreedyOnline):
+        def score(self, scratch, candidates):
+            seen.append(candidates.flags.writeable)
+            return super().score(scratch, candidates)
+
+    run_online_batch(Spy(), generate_batch(3, 20, "gaussian", np.arange(2)), np.arange(2))
+    assert len(seen) > 20 and not any(seen)
 
 
 def test_batch_harness_validation():
@@ -410,3 +437,52 @@ def test_random_signing_refuses_a_bad_aux_seed(omega):
     # as generate refuses such seeds; 1.7 used to sign as omega 1
     with pytest.raises(ParameterError, match="seeds must be integers"):
         run_online(RandomSigningOnline(), generate(2, 30, "gaussian", 1), omega)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rule=st.sampled_from(["greedy", "potential"]), b=st.sampled_from([1, 3]),
+       m=st.sampled_from([1, 2, 7, 33]), n=st.integers(1, 30),
+       disorder=st.sampled_from(["gaussian", "rademacher", "bernoulli"]),
+       lam=st.sampled_from([None, 0.25, 40.0]), column_block=st.sampled_from([1, 7, 64]),
+       block_columns=st.sampled_from([1, 4, 9]), seed=st.integers(0, 2**32), data=st.data())
+def test_score_signs_equal_the_per_column_definition(rule, b, m, n, disorder, lam,
+                                                     column_block, block_columns, seed, data):
+    # small column blocks, so that runs cross block boundaries
+    p = 0.4 if disorder == "bernoulli" else None
+    seeds = [philox.derive_seed(seed, i) for i in range(b)]
+    entries = np.array(generate_batch(m, n, disorder, seeds, p))
+    zero = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    entries[:, :, zero] = 0                  # exact ties: both candidates are the old sums
+    lam = lam if rule == "potential" else None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(online, "_COLUMN_BLOCK", column_block)
+        patch.setattr(online, "_BLOCK_COLUMNS", block_columns)
+        signs, _ = run_online_batch(make_algorithm(rule, lam), entries, np.arange(b))
+    for i in range(b):
+        assert np.array_equal(signs[i], online_signs(entries[i], rule, lam)), i
+
+
+@pytest.mark.filterwarnings("error")            # no numpy overflow warning either
+@pytest.mark.parametrize("disorder", ["gaussian", "rademacher"])
+def test_potential_refuses_a_lambda_that_overflows_float64(disorder):
+    inst = generate(3, 6, disorder, 1)
+    with pytest.raises(ParameterError, match=r"'potential'.*step 0\b.*overflow float64"):
+        run_online(PotentialOnline(1e308), inst)
+    with pytest.raises(ParameterError, match="overflow float64"):
+        stability_probe(PotentialOnline(1e308), 0.9, 3, 6, 3, 1.0)
+    # a large lambda that stays inside float64 still decides by the definition
+    res = run_online(PotentialOnline(1e300), inst)
+    assert np.array_equal(res.sigma, online_signs(inst.entries, "potential", 1e300))
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambda_overflow_is_caught_before_the_block_that_reaches_it(monkeypatch):
+    # one column per block; |a - m| reaches 2 lambda (row l1 norm so far):
+    # 1.75e308 after seven columns, 2e308 after eight, so step 7 is refused
+    monkeypatch.setattr(online, "_BLOCK_COLUMNS", 1)
+    inst = Instance(1, 8, "rademacher", 0, np.ones((1, 8), dtype=np.int64))
+    with pytest.raises(ParameterError, match=r"step 7\b"):
+        run_online(PotentialOnline(1e308 / 8), inst)
+    head = Instance(1, 7, "rademacher", 0, np.ones((1, 7), dtype=np.int64))
+    assert np.array_equal(run_online(PotentialOnline(1e308 / 8), head).sigma,
+                          online_signs(head.entries, "potential", 1e308 / 8))

@@ -281,6 +281,21 @@ def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, caps
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")            # a numpy overflow warning fails the test
+@pytest.mark.parametrize("argv", [
+    ["online", "--alg", "potential", "--lambda", "1e308", "--rows", "3", "--cols", "6",
+     "--seeds", "1..1"],
+    ["landscape", "stability", "--alg", "potential", "--lambda", "1e308", "--rho", "0.9",
+     "--rows", "3", "--cols", "6", "--trials", "3", "--threshold", "1"]])
+def test_cli_lambda_that_overflows_float64_is_one_error_line(argv, capsys):
+    # it used to print numpy warnings and sign by NaN comparisons, exit 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "overflow float64" in captured.err
+
+
 def test_cli_experiment(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "online", "alg": "random", "rows": 2,
