@@ -16,34 +16,31 @@ convert between sign vectors and these "gray" codes, or the searches'
 
 For speed the walk is blocked.  A block is 2^q candidates, with q the
 largest value for which an (M, 2^q) array of the scan dtype fits in
-``_BLOCK_BYTES`` = 2^18 bytes (at least 0, at most n - 1), so the fixed
-cost of a block's few ufunc calls is spread over as many candidates as
-fit in cache whatever M and the dtype are.  The low q Gray bits are
-expanded once into a suffix table stored row-major as an (M, 2^q) array,
-column r holding the change of the row sums when the set bits of gray(r)
-flip.  It is built by reflection doubling, T_{j+1} = [T_j, reverse(T_j)
-- 2 M[:, j+1]], in O(M 2^q) subtractions (``_suffix_table``).  Each block
-adds the high-bit row sums to every column of the table in one
-preallocated (M, 2^q) buffer and reduces max |.| over the M rows
-(``max_abs_rows``), giving the 2^q candidates' norms in table order.  An
-even block visits them in that order.  An odd block visits them
-reversed, by the reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1),
-so it yields the norms reversed and the global visiting order is
-preserved exactly.  The walk code of a block's r-th candidate is computed
-from its position: the high bits above gray(r) XOR parity * 2^(q-1).
+``_BLOCK_BYTES`` = 2^18 bytes (``_block_bits``; at most n - 1), so the
+fixed cost of a block's few ufunc calls is spread over as many candidates
+as fit in cache whatever M and the dtype are.  The low q Gray bits are
+expanded once into an (M, 2^q) table, column r holding the change of the
+row sums when the set bits of gray(r) flip (``_suffix_table``, "gray"
+order).  Each block adds the high-bit row sums to every column of the
+table in one preallocated (M, 2^q) buffer and reduces max |.| over the M
+rows (``max_abs_rows``), giving the 2^q candidates' norms in table order.
+An even block visits them in that order, an odd block reversed, by the
+reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1), so the global
+visiting order is preserved exactly.  The walk code of a block's r-th
+candidate is the high bits above gray(r) XOR parity * 2^(q-1).  The
+shared-prefix searches in ``landscape`` scan blocks the same way on
+"lex" tables.
 
 Scan dtype (``scan_precision``).  Let S = max_i sum_j |M_ij|; every row
 sum, prefix or suffix sum of a candidate is at most S in absolute value,
 and a table entry at most 2S.  Integer entries are scanned in the
 narrowest of int8, int16, int32 and int64 that holds 3S, so the scan is
-exact, and an instance with 3S beyond int64 is refused with a
-``ParameterError``; values are reported in int64.  Float entries are scanned
-in float32 (float64 if 3S overflows it).  Integer tables are built in the
-scan dtype, which holds every entry; float tables are summed in float64
-and cast once.  The high-bit running sums stay wide (int64 or float64) and
-are cast once per block, so the drift along the walk is one float64
-rounding per block, and each block adds one float32 rounding of its own
-that does not carry over.
+exact (3S beyond int64 is a ``ParameterError``); values are reported in
+int64.  Float entries are scanned in float32 (float64 if 3S overflows
+it).  Integer tables are built in the scan dtype; float tables are summed
+in float64 and cast once.  The high-bit running sums stay wide and are
+cast once per block, so the walk drifts by one float64 rounding per
+block, and each block adds one float32 rounding that does not carry over.
 
 Re-decision.  Every reported value and row-sum vector is ``disc_value``
 of the witness, and a candidate whose scanned norm lies within the
@@ -51,21 +48,27 @@ scan's slack of a decision (the running minimum, or an enumeration
 threshold) is decided on that direct product.  Integer scans have slack
 0.  For floats, let u be the scan dtype's unit roundoff (eps/2), w that
 of float64, and t the scan dtype's smallest subnormal, which bounds the
-absolute error of a rounding in the subnormal range.  Against the exact
-row sum, the wide running sum errs by at most (steps + n) w S (n - 1
-additions for the start, one per block), the wide table entry by
-2q w S, and the direct product ``disc_value`` by n w S.  The table bound
-has room to spare: a doubled entry is -2 times a sequential float64 sum
-of at most q of the M_ij, low bits first (doubling is exact), whose
-partial sums are at most S, so it errs by at most 2(q - 1) w S.  The two casts and the narrow addition add
-at most u S + 2u S + u S.  |.| and max over rows are 1-Lipschitz, so
+absolute error of a rounding in the subnormal range.  A doubled table
+entry over q columns is -2 times a sequential float64 sum of at most q
+of the M_ij (doubling is exact) with partial sums at most S, so it errs
+by at most 2(q - 1) w S; the float64 sum of two such entries over
+disjoint columns, q in all, by 2q w S.  A scanned row sum is a wide head
+plus a wide table entry, each cast once, added in the scan dtype.  The
+exact scan's head is its running sum (n - 1 additions for the start, one
+per block), erring by (steps + n) w S, and its table covers at most
+n - 1 columns.  A search's head is the all-plus row sums (n - 1
+additions) plus a high-table entry over q_h columns in one more
+addition, (n + 2 q_h) w S, its member table covers the other n - q_h
+columns, and it takes steps = 0.  With the direct product ``disc_value``
+(n w S) the float64 errors total at most (steps + 4n) w S either way.
+The two casts and the narrow addition add at most u S + 2u S + u S.
+|.| and max over rows are 1-Lipschitz, so
 
     |scanned norm - disc_value norm| <= (4u + (steps + 4n) w) S + (steps + 4n + 4) t,
 
 up to second-order terms, which the slack 2 * (right-hand side) absorbs
 with room for the float64 rounding of ``best + slack`` and
-``threshold +- slack``.  The shared-prefix searches take steps = 0:
-their prefix and suffix sums are products of n - k and k terms.
+``threshold +- slack``.
 
 The decisions that use the slack s: the exact solver skips a block whose
 least scanned norm exceeds best + s (every direct norm there exceeds
@@ -198,20 +201,25 @@ def _max_row_l1(entries: np.ndarray) -> int:
     return max(sum(abs(int(x)) for x in row) for row in np.asarray(entries).tolist())
 
 
-def _work_entries(inst: Instance) -> np.ndarray:
-    # int64 keeps rademacher/bernoulli arithmetic exact while S fits in it:
-    # no row sum, nor any partial sum of one, exceeds S in absolute value
-    if inst.disorder == "gaussian":
-        return np.asarray(inst.entries, dtype=np.float64)
-    entries = np.asarray(inst.entries)
+def _int64_entries(entries) -> np.ndarray:
+    """Integer entries as int64; a ``ParameterError`` if a row l1 norm (over
+    the last axis), which bounds every partial row sum, leaves int64."""
+    entries = np.asarray(entries)
     # n * max |M_ij| bounds S with no temporary the size of the entries
     if entries.size and entries.shape[-1] * max(-float(entries.min()),
                                                  float(entries.max())) >= 2.0 ** 62:
-        s = _max_row_l1(entries)
+        s = _max_row_l1(entries.reshape(-1, entries.shape[-1]))
         if s > _INT64_MAX:
             raise ParameterError(f"integer row sums may leave int64: the largest row l1 "
                                  f"norm is {s}, above {_INT64_MAX}")
-    return np.asarray(entries, dtype=np.int64)
+    return entries.astype(np.int64, copy=False)
+
+
+def _work_entries(inst: Instance) -> np.ndarray:
+    # int64 keeps rademacher/bernoulli arithmetic exact
+    if inst.disorder == "gaussian":
+        return np.asarray(inst.entries, dtype=np.float64)
+    return _int64_entries(inst.entries)
 
 
 def _native_value(x):
@@ -281,30 +289,35 @@ def scan_bounds(dtype: np.dtype, threshold: float, slack: float) -> tuple:
     return tuple(min(max(float(x), -top), top) for x in (threshold + slack, threshold - slack))
 
 
-def _suffix_table(entries: np.ndarray, q: int, dtype: np.dtype) -> np.ndarray:
-    """The (M, 2^q) suffix table: column r sums -2 M[:, j+1] over the set
-    bits j of gray(r), so that adding it to the row sums of a candidate with
-    the low q bits clear flips those columns.
-
-    Built by reflection doubling, T_{j+1} = [T_j, reverse(T_j) - 2 M[:, j+1]]:
-    q vector additions of M 2^j entries each, and no matmul.  Integer tables
-    are built in ``dtype``, which holds every entry (|entry| <= 2S <= 3S).
-    Float tables are summed in float64 in a half-width array, and the last
-    doubling writes both halves cast to ``dtype``, so the float64 copy takes
-    no more bytes than a float32 table.
+def _suffix_table(cols: np.ndarray, dtype: np.dtype, order: str) -> np.ndarray:
+    """The (M, 2^q) table of the q columns ``cols``: entry r sums -2 times
+    the columns of the set bits of r's code, the change of the row sums when
+    they flip.  "gray": the code is gray(r), bit j holds column j, and
+    T_{j+1} = [T_j, reverse(T_j) - 2 c_j].  "lex": the code is r, bit j
+    holds column q-1-j, and T_{j+1} = [T_j, T_j - 2 c_{q-1-j}].  Integer
+    tables are built in ``dtype``, which must hold every entry; float ones
+    are summed in float64 in a half-width array and the last doubling
+    writes both halves cast to ``dtype``.
     """
-    m, b = entries.shape[0], 1 << q
+    m, q = cols.shape
+    b = 1 << q
     table = aligned_empty((m, b), dtype)
     wide = table if dtype.kind in "iu" else np.empty((m, max(b >> 1, 1)), np.float64)
-    step = (-2 * entries[:, 1:1 + q]).astype(wide.dtype)
+    step = (-2 * (cols if order == "gray" else cols[:, ::-1])).astype(wide.dtype)
     table[:, 0] = wide[:, 0] = 0
     for j in range(q):
         h = 1 << j
         dst = table if j == q - 1 else wide
         if dst is not wide:
             dst[:, :h] = wide[:, :h]
-        np.add(wide[:, h - 1::-1], step[:, j, None], out=dst[:, h:2 * h])
+        src = wide[:, h - 1::-1] if order == "gray" else wide[:, :h]
+        np.add(src, step[:, j, None], out=dst[:, h:2 * h])
     return table
+
+
+def _block_bits(rows: int, dtype: np.dtype) -> int:
+    """The largest q for which (rows, 2^q) of ``dtype`` fits ``_BLOCK_BYTES``, or 0."""
+    return max((_BLOCK_BYTES // (rows * dtype.itemsize)).bit_length() - 1, 0)
 
 
 class _GrayScan:
@@ -315,11 +328,10 @@ class _GrayScan:
         m, n = entries.shape
         self.entries = entries
         self.dtype = scan_precision(entries, 0)[0]
-        fit = _BLOCK_BYTES // (m * self.dtype.itemsize)
-        self.q = q = min(max(fit.bit_length() - 1, 0), n - 1)
+        self.q = q = min(_block_bits(m, self.dtype), n - 1)
         self.n_blocks = 1 << (n - 1 - q)
         self.slack = scan_precision(entries, self.n_blocks)[1]
-        self.table = _suffix_table(entries, q, self.dtype)
+        self.table = _suffix_table(entries[:, 1:1 + q], self.dtype, "gray")
         self.base = entries.sum(axis=1)
 
     def blocks(self):

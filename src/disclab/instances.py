@@ -57,6 +57,12 @@ class Instance:
     entries: np.ndarray = field(repr=False)
     p: Optional[float] = None
 
+    def __post_init__(self):          # O(1): the entries' values are not checked
+        _check_dims(self.rows, self.cols)
+        if np.shape(self.entries) != (self.rows, self.cols):
+            raise ParameterError(f"entries have shape {np.shape(self.entries)}, "
+                                 f"expected ({self.rows}, {self.cols})")
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
@@ -262,14 +268,17 @@ def load_instance(path) -> Instance:
         entries = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols).copy()
     else:
         entries = _parse_csv(body, rows, cols, values is not None, path)
+    # every entry is finite, and a resampled ensemble mixes the file's prefix
+    # with fresh draws of the family, so an integer family's file holds its
+    # values and no others
+    ok = np.isfinite(entries) if values is None else np.isin(entries, values)
+    bad = np.argwhere(~ok)
+    if bad.size:
+        i, j = bad[0]
+        want = "a finite number" if values is None else f"one of {values}"
+        raise InstanceFormatError(f"{path}: {header['disorder']} entry ({i}, {j}) is "
+                                  f"{entries[i, j]}, expected {want}")
     if values is not None:
-        # a resampled ensemble mixes the file's prefix with fresh draws of the
-        # family, so the file must hold the family's values and no others
-        bad = np.argwhere(~np.isin(entries, values))
-        if bad.size:
-            i, j = bad[0]
-            raise InstanceFormatError(f"{path}: {header['disorder']} entry ({i}, {j}) is "
-                                      f"{entries[i, j]}, expected one of {values}")
         entries = entries.astype(np.int64, copy=False)
     entries.setflags(write=False)
     return Instance(rows, cols, header["disorder"], header.get("seed"), entries,

@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import philox
-from .discrepancy import (_direct_value, _work_entries, aligned_empty, codes_from_signs,
-                          disc_value, enumerate_below, max_abs_rows, scan_bounds,
-                          scan_precision, signs_from_codes)
+from .discrepancy import (_block_bits, _direct_value, _suffix_table, _work_entries,
+                          aligned_empty, codes_from_signs, disc_value, enumerate_below,
+                          max_abs_rows, scan_bounds, scan_precision, signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
 from .instances import Instance, generate, interpolate
 from .online import run_online_batch
@@ -36,8 +36,6 @@ OGP_MAX_N_TRIPLE = 14
 
 _INTEGER_DISORDERS = ("rademacher", "bernoulli")
 
-# entries of one shared-prefix search buffer (M x prefixes x suffixes)
-_SEARCH_ENTRIES = 1 << 16
 # gram entries per row block of the overlap histogram's pair count
 _HISTOGRAM_ENTRIES = 1 << 20
 # float64 entries (1 MB) of one stability-probe batch of instance pairs
@@ -117,13 +115,9 @@ class TupleCertificate:
 
 
 def _overlap_vector(members: np.ndarray) -> np.ndarray:
-    m, n = members.shape
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = int(np.count_nonzero(members[i] != members[j]))
-            out.append(1.0 - 2.0 * d / n)
-    return np.array(out)
+    i, j = np.triu_indices(members.shape[0], 1)       # pairs row-major
+    d = np.count_nonzero(members[i] != members[j], axis=1)
+    return 1.0 - 2.0 * d / members.shape[1]
 
 
 def verify_certificate(cert: TupleCertificate, instances: Sequence[Instance],
@@ -140,12 +134,9 @@ def verify_certificate(cert: TupleCertificate, instances: Sequence[Instance],
             return False
         if abs(val - float(cert.disc_values[i])) > 1e-9 * max(1.0, val):
             return False
-    overlaps = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            gram = int(cert.members[i].astype(np.int32) @ cert.members[j].astype(np.int32))
-            overlaps.append(1.0 - 2.0 * ((n - gram) // 2) / n)
-    overlaps = np.asarray(overlaps)
+    sig = cert.members.astype(np.int32)
+    gram = (sig @ sig.T)[np.triu_indices(m, 1)]
+    overlaps = 1.0 - 2.0 * ((n - gram) // 2) / n
     if not np.array_equal(overlaps, np.asarray(cert.overlaps, dtype=float)):
         return False
     if window is not None:
@@ -159,7 +150,8 @@ def verify_certificate(cert: TupleCertificate, instances: Sequence[Instance],
 # Shared-prefix searches (suffix-resampled ensembles)
 # ---------------------------------------------------------------------------
 
-def _check_shared_prefix(members: Sequence[Instance], k: int, max_n: Optional[int]):
+def _shared_prefix_certificate(members: Sequence[Instance], k: int, threshold: float,
+                               max_n: Optional[int]) -> Optional[TupleCertificate]:
     n = members[0].cols
     max_n = XI_MAX_N if max_n is None else max_n
     if n > max_n:
@@ -173,80 +165,70 @@ def _check_shared_prefix(members: Sequence[Instance], k: int, max_n: Optional[in
             raise ParameterError("ensemble members must share shape and disorder")
         if not np.array_equal(mem.entries[:, : n - k], members[0].entries[:, : n - k]):
             raise ParameterError(f"members do not share the first n-k={n - k} columns")
-
-
-def _search_shared_prefix(members: Sequence[Instance], k: int,
-                          threshold: float) -> Optional[tuple[int, list[int]]]:
-    """First (prefix, per-member suffix) with every member satisfying
-    ||M_i sigma_i||_inf <= threshold, or None.
-
-    Prefix sums are kept as (M, P) and each member's suffix sums as
-    (M, 2^k), both built in the wide dtype and cast to the scan dtype of
-    ``scan_precision``, so ``max_abs_rows`` reduces over the rows of an
-    (M, P, 2^k) buffer; a prefix survives a member when any suffix may be
-    feasible.  The surviving prefixes are then decided in order as in
-    ``enumerate_below``: a suffix within the slack of the threshold is
-    decided on ``disc_value``.
-    """
-    n = members[0].cols
-    n_pref = n - k
-    work = [_work_entries(mem) for mem in members]
-    dtype, slack = scan_precision(np.concatenate(work), 0)
-    hi, lo = scan_bounds(dtype, threshold, slack)
-    m_rows = members[0].rows
-    suffix_signs = signs_from_codes(np.arange(1 << k, dtype=np.uint64), k, "lex")
-    suffix_sums = [np.ascontiguousarray((suffix_signs.astype(w.dtype) @ w[:, n_pref:].T).T,
-                                        dtype=dtype) for w in work]  # (M, 2^k) each
-    n_prefixes = 1 << n_pref
-    chunk = min(n_prefixes, max(1, _SEARCH_ENTRIES // ((1 << k) * m_rows)))
-    buf = aligned_empty((m_rows, chunk, 1 << k), dtype)
-    vals = aligned_empty((chunk, 1 << k), dtype)
-    prefix_cols = work[0][:, :n_pref]
-
-    def first_suffix(mem, norms, prefix):
-        # the first suffix of ``prefix`` that ``mem`` admits, or None
-        for r in (norms <= hi).nonzero()[0]:
-            code = (prefix << k) | int(r)
-            if norms[r] < lo or _direct_value(mem, code, "lex") <= threshold:
-                return int(r)
+    hit = _search_shared_prefix(members, k, threshold)
+    if hit is None:
         return None
-
-    for start in range(0, n_prefixes, chunk):
-        codes = np.arange(start, min(start + chunk, n_prefixes), dtype=np.uint64)
-        p = codes.shape[0]
-        psums = (signs_from_codes(codes, n_pref, "lex").astype(prefix_cols.dtype)
-                 @ prefix_cols.T).T.astype(dtype)
-        ok = np.ones(p, dtype=bool)
-        for ss in suffix_sums:
-            norms = max_abs_rows(psums[:, :, None], ss[:, None, :], buf[:, :p], vals[:p])
-            ok &= np.any(norms <= hi, axis=1)
-            if not ok.any():
-                break
-        for local in ok.nonzero()[0]:
-            prefix = start + int(local)
-            suffixes = []
-            for mem, ss in zip(members, suffix_sums):
-                norms = np.max(np.abs(psums[:, local, None] + ss), axis=0)
-                suffixes.append(first_suffix(mem, norms, prefix))
-                if suffixes[-1] is None:
-                    break
-            else:
-                return prefix, suffixes
-    return None
-
-
-def _prefix_certificate(members: Sequence[Instance], k: int, threshold: float,
-                        hit: tuple[int, list[int]]) -> TupleCertificate:
-    n = members[0].cols
     p, suffixes = hit
-    codes = np.array([(p << k) | s for s in suffixes], dtype=np.uint64)
-    sigma = signs_from_codes(codes, n, "lex")
+    sigma = signs_from_codes([(p << k) | s for s in suffixes], n, "lex")
     disc = np.array([disc_value(mem, sigma[i]).value for i, mem in enumerate(members)],
                     dtype=float)
     return TupleCertificate(members=sigma, overlaps=_overlap_vector(sigma),
                             disc_values=disc,
                             tau_or_delta={"mode": "suffix_resample", "k": k},
                             threshold=float(threshold))
+
+
+def _search_shared_prefix(members: Sequence[Instance], k: int,
+                          threshold: float) -> Optional[tuple[int, list[int]]]:
+    """First (prefix, per-member suffix) in lex order with every member
+    satisfying ||M_i sigma_i||_inf <= threshold, or None.
+
+    A blocked scan as in ``_GrayScan``: a block is the 2^c prefixes sharing
+    their high n-k-c columns, c + k the largest exponent that keeps an
+    (M, 2^(c+k)) scan array within ``_BLOCK_BYTES`` (0 <= c <= n-k).  Lex
+    tables (``_suffix_table``): each member's over its k suffix columns then
+    the c low prefix columns, one broadcast add of its suffix table and the
+    shared low-prefix table; and a shared one over the high columns, which
+    plus a member's all-plus row sums is its head for each block.  Entry
+    (s, p) of a member's (2^k, 2^c) block norms is low prefix p with suffix
+    s; a prefix survives when every member has a norm <= the filter bound
+    in its column, and survivors are decided in order from those norms.
+    """
+    n_pref = members[0].cols - k
+    work = [_work_entries(mem) for mem in members]
+    dtype, slack = scan_precision(np.concatenate(work), 0)
+    hi, lo = scan_bounds(dtype, threshold, slack)
+    m_rows = members[0].rows
+    c = min(max(_block_bits(m_rows, dtype) - k, 0), n_pref)
+    shape = (m_rows, 1 << k, 1 << c)
+    # float tables are summed in float64; the integer scan dtype holds every entry
+    wide = np.dtype(np.float64) if dtype.kind == "f" else dtype
+    high = _suffix_table(work[0][:, :n_pref - c], wide, "lex")
+    heads = [(w.sum(axis=1)[:, None] + high).astype(dtype) for w in work]
+    low = _suffix_table(work[0][:, n_pref - c:n_pref], wide, "lex")[:, None, :]
+    tables = [np.add(_suffix_table(w[:, n_pref:], wide, "lex")[:, :, None], low,
+                     out=aligned_empty(shape, dtype), casting="same_kind") for w in work]
+    buf = aligned_empty(shape, dtype)
+    norms = [aligned_empty(shape[1:], dtype) for _ in work]
+
+    def first_suffix(mem, col, prefix):
+        # the first suffix of ``prefix`` that ``mem`` admits, or None
+        return next((int(r) for r in (col <= hi).nonzero()[0] if col[r] < lo
+                     or _direct_value(mem, (prefix << k) | int(r), "lex") <= threshold), None)
+
+    for h in range(high.shape[1]):
+        ok = np.ones(1 << c, dtype=bool)
+        for head, table, vals in zip(heads, tables, norms):
+            max_abs_rows(head[:, h, None, None], table, buf, vals)
+            ok &= np.logical_or.reduce(vals <= hi, axis=0)
+            if not ok.any():
+                break
+        for p in ok.nonzero()[0]:
+            prefix = (h << c) | int(p)
+            suffixes = [first_suffix(mem, vals[:, p], prefix) for mem, vals in zip(members, norms)]
+            if None not in suffixes:
+                return prefix, suffixes
+    return None
 
 
 def search_xi_sbp(members: Sequence[Instance], k: int, kappa: float,
@@ -262,10 +244,7 @@ def search_xi_sbp(members: Sequence[Instance], k: int, kappa: float,
         raise UnsupportedDisorderError("perceptron tuple search needs gaussian disorder")
     if not kappa > 0:
         raise ParameterError(f"kappa must be positive, got {kappa}")
-    _check_shared_prefix(members, k, max_n)
-    threshold = kappa * math.sqrt(members[0].cols)
-    hit = _search_shared_prefix(members, k, threshold)
-    return None if hit is None else _prefix_certificate(members, k, threshold, hit)
+    return _shared_prefix_certificate(members, k, kappa * math.sqrt(members[0].cols), max_n)
 
 
 def search_xi_disc(members: Sequence[Instance], k: int, c_u: float,
@@ -278,10 +257,7 @@ def search_xi_disc(members: Sequence[Instance], k: int, c_u: float,
         raise UnsupportedDisorderError("discrepancy tuple search needs integer disorder")
     if not c_u > 0:
         raise ParameterError(f"c_u must be positive, got {c_u}")
-    _check_shared_prefix(members, k, max_n)
-    threshold = c_u * math.sqrt(members[0].rows)
-    hit = _search_shared_prefix(members, k, threshold)
-    return None if hit is None else _prefix_certificate(members, k, threshold, hit)
+    return _shared_prefix_certificate(members, k, c_u * math.sqrt(members[0].rows), max_n)
 
 
 # ---------------------------------------------------------------------------

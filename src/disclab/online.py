@@ -66,7 +66,7 @@ from typing import Union
 import numpy as np
 
 from . import philox
-from .discrepancy import _native_value, _work_entries
+from .discrepancy import _int64_entries, _native_value, _work_entries
 from .errors import ContractViolationError, ParameterError
 from .instances import Instance
 
@@ -320,7 +320,7 @@ def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.n
     """Run ``alg`` on B instances at once; the only loop that feeds columns.
 
     ``entries`` has shape (B, M, n), float (run in float64) or integer
-    (run in int64); ``omegas`` holds one aux seed per instance.  Returns
+    (run in int64, refused when a row l1 norm leaves it); ``omegas`` holds one aux seed per instance.  Returns
     (signs (B, n) int8, row sums (B, M)), where the row sums are the direct
     products ``entries[i] @ signs[i]``, not the drifted running sums.
     Column t of instance i sees columns 1..t of instance i only.
@@ -331,7 +331,7 @@ def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.n
     if work.dtype.kind == "f":
         work = work.astype(np.float64, copy=False)
     elif work.dtype.kind in "biu":
-        work = work.astype(np.int64, copy=False)
+        work = _int64_entries(work)
     else:
         raise ParameterError(f"entries must be real numbers, got dtype {work.dtype}")
     b, m, n = work.shape

@@ -85,6 +85,20 @@ def gray_suffix_table(entries, q):
     return table
 
 
+def lex_suffix_table(cols):
+    """The searches' (M, 2^q) lex table of the q columns ``cols`` from its
+    definition: column r sums -2 * cols[:, q-1-j] over the set bits j of r,
+    in the columns' own dtype, low bits first."""
+    cols = np.asarray(cols)
+    q = cols.shape[1]
+    table = np.zeros((cols.shape[0], 1 << q), dtype=cols.dtype)
+    for r in range(1 << q):
+        for j in range(q):
+            if (r >> j) & 1:
+                table[:, r] += -2 * cols[:, q - 1 - j]
+    return table
+
+
 def naive_solution_set(entries, threshold):
     """Frozen set of sign tuples with max-norm <= threshold."""
     entries = np.asarray(entries)
@@ -106,6 +120,26 @@ def naive_xi_exists(members, k, threshold):
     for ok in sat:
         per_prefix &= ok.any(axis=1)
     return bool(per_prefix.any())
+
+
+def naive_xi_first(members, k, threshold):
+    """The first (prefix, per-member suffixes) in lex order for which every
+    member's vector prefix|suffix has max-norm <= threshold, each member
+    taking its first such suffix; None if no prefix has them.  Brute force
+    over all 2^n vectors in one float64 or int64 product per member."""
+    n = members[0].cols
+    firsts = []
+    for mem in members:
+        ent = np.asarray(mem.entries)
+        ent = ent.astype(np.float64 if ent.dtype.kind == "f" else np.int64)
+        sigma = all_sign_vectors(n, dtype=ent.dtype)
+        ok = (np.abs(sigma @ ent.T).max(axis=1) <= threshold).reshape(1 << (n - k), 1 << k)
+        firsts.append([int(row.argmax()) if row.any() else None for row in ok])
+    for prefix in range(1 << (n - k)):
+        suffixes = [f[prefix] for f in firsts]
+        if None not in suffixes:
+            return prefix, suffixes
+    return None
 
 
 def naive_ogp_exists(base, fresh, angles, lo, hi, threshold, m):

@@ -13,8 +13,8 @@ from disclab import (CapacityError, Instance, ParameterError,
 from disclab import discrepancy
 from disclab.discrepancy import (_GrayScan, _suffix_table, _work_entries, aligned_empty,
                                  codes_from_signs, scan_precision, signs_from_codes)
-from oracles import (gray_first_minimizer, gray_suffix_table, naive_disc_value,
-                     naive_exact_value, naive_solution_set)
+from oracles import (gray_first_minimizer, gray_suffix_table, lex_suffix_table,
+                     naive_disc_value, naive_exact_value, naive_solution_set)
 
 # block budgets in bytes (None: the default _BLOCK_BYTES); a small budget cuts
 # the walk into many blocks of both parities, and 1 byte gives blocks of one
@@ -135,24 +135,35 @@ def test_every_block_size_gives_the_same_answers(disorder, budget, monkeypatch):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("order", ["gray", "lex"])
 @pytest.mark.parametrize("disorder", ["rademacher", "bernoulli", "gaussian"])
-def test_suffix_table_matches_its_definition(disorder, monkeypatch):
+def test_suffix_table_matches_its_definition(disorder, order, monkeypatch):
     inst = generate(5, 12, disorder, 7, p=0.5 if disorder == "bernoulli" else None)
     entries = _work_entries(inst)
     s = float(np.abs(entries).sum(axis=1).max())
     dtype = scan_precision(entries, 0)[0]
     for q in range(12):
-        monkeypatch.setattr(discrepancy, "_BLOCK_BYTES", 5 * dtype.itemsize << q)
-        scan = _GrayScan(entries)
-        assert scan.q == q and scan.table.dtype == scan.dtype
-        want = gray_suffix_table(entries, q)
-        if disorder == "gaussian":
-            # summed in float64, then cast once to the scan dtype
-            wide = _suffix_table(entries, q, np.dtype(np.float64))
-            assert np.all(np.abs(wide - want) <= q * np.finfo(np.float64).eps * s)
-            assert np.array_equal(scan.table, wide.astype(scan.dtype))
+        # gray: the exact scan's table over columns 2..q+1; lex: a table over
+        # the last q columns, as the shared-prefix searches build them
+        cols = entries[:, 1:1 + q] if order == "gray" else entries[:, 12 - q:]
+        table = _suffix_table(cols, dtype, order)
+        if order == "gray":
+            monkeypatch.setattr(discrepancy, "_BLOCK_BYTES", 5 * dtype.itemsize << q)
+            scan = _GrayScan(entries)
+            assert scan.q == q and scan.dtype == dtype
+            assert np.array_equal(scan.table, table)
+            want = gray_suffix_table(entries, q)
         else:
-            assert np.array_equal(scan.table, want)
+            want = lex_suffix_table(cols)
+        assert table.shape == (5, 1 << q) and table.dtype == dtype
+        if disorder == "gaussian":
+            # summed in float64, each entry -2 times a sequential sum of at
+            # most q terms (error <= 2 (q - 1) (eps / 2) S), then cast once
+            wide = _suffix_table(cols, np.dtype(np.float64), order)
+            assert np.all(np.abs(wide - want) <= max(q - 1, 0) * np.finfo(np.float64).eps * s)
+            assert np.array_equal(table, wide.astype(dtype))
+        else:
+            assert np.array_equal(table, want)
 
 
 def test_exact_reports_direct_product_gaussian():

@@ -100,6 +100,22 @@ def test_parameter_errors():
         generate(2, 2, "bernoulli", 1, p="0.5")
 
 
+_DIMS = "rows and cols must be positive"
+_SHAPE = r"entries have shape \(3, 2\), expected \(2, 3\)"
+
+
+@pytest.mark.parametrize("rows, cols, shape, match", [
+    (0, 3, (0, 3), _DIMS), (2, 3, (3, 2), _SHAPE), (2, -1, (2, 0), _DIMS),
+    (2.0, 3, (2, 3), _DIMS), (True, 3, (1, 3), _DIMS), (2, 3, (6,), "entries have shape"),
+    (2, 3, (1, 2, 3), "entries have shape")])
+def test_a_malformed_instance_is_refused_at_construction(rows, cols, shape, match):
+    # Instance(0, 3, ...) and a (3, 2) array for a 2 x 3 instance used to
+    # construct, and a scan on them ended in a numpy ValueError
+    with pytest.raises(ParameterError, match=match):
+        Instance(rows, cols, "gaussian", None, np.ones(shape))
+    assert Instance(np.int64(2), 3, "gaussian", None, np.ones((2, 3))).shape == (2, 3)
+
+
 def test_seeds_must_be_integers_in_range():
     # a negative numpy seed would wrap to 2^64 - 1, a float seed truncate
     for seeds in (np.array([-1]), np.array([3, -5], dtype=np.int32), [1.7], np.array([1.7]),

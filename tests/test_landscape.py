@@ -9,9 +9,11 @@ from disclab import (CapacityError, GreedyOnline, OgpWindow, ParameterError,
                      search_ogp_tuples, search_xi_disc, search_xi_sbp,
                      stability_probe, verify_certificate)
 from disclab import discrepancy, landscape
+from disclab.discrepancy import disc_value, signs_from_codes
 from disclab.cli import main
 from disclab.philox import derive_seed
-from oracles import naive_ogp_exists, naive_solution_set, naive_xi_exists, pairwise_overlaps
+from oracles import (all_sign_vectors, naive_ogp_exists, naive_solution_set, naive_xi_exists,
+                     naive_xi_first, pairwise_overlaps)
 
 
 # -- histograms ---------------------------------------------------------------
@@ -173,6 +175,56 @@ def test_xi_disc_matches_naive():
     cert = search_xi_disc(members, 3, 2.0)
     want = naive_xi_exists(members, 3, 2.0 * math.sqrt(3))
     assert (cert is not None) == want
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("disorder", ["gaussian", "rademacher", "bernoulli"])
+def test_shared_prefix_search_returns_the_first_tuple_at_every_block_size(
+        disorder, m, monkeypatch):
+    # the budget is set so that a block holds 2^c prefixes for each c in
+    # 0..n-k; thresholds sit between distinct norms of the first member
+    # (gaussian) or on and between integers, and one lies below every norm
+    rows = 3
+    for n in (1, 2, 5, 9, 12):
+        for k in range(1, n + 1):
+            members = _ensemble(1000 * n + 10 * k + m, rows, n, k, m, disorder,
+                                p=0.5 if disorder == "bernoulli" else None)
+            work = [discrepancy._work_entries(mem) for mem in members]
+            dtype = discrepancy.scan_precision(np.concatenate(work), 0)[0]
+            sums = all_sign_vectors(n) @ np.asarray(members[0].entries, dtype=np.float64).T
+            norms = np.unique(np.abs(sums).max(axis=1))
+            if disorder == "gaussian":
+                picks = [0, len(norms) // 100, len(norms) // 3]
+                thresholds = [(norms[i] + norms[min(i + 1, len(norms) - 1)]) / 2 for i in picks]
+            else:
+                thresholds = [norms[0], norms[0] + 0.5, norms[len(norms) // 3]]
+            thresholds.append(norms[0] / 2)
+            for threshold in thresholds:
+                want = naive_xi_first(members, k, threshold)
+                for c in range(n - k + 1):
+                    monkeypatch.setattr(discrepancy, "_BLOCK_BYTES",
+                                        rows * dtype.itemsize << (c + k))
+                    assert landscape._search_shared_prefix(members, k, threshold) == want
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_shared_prefix_search_decides_thresholds_at_a_norm_on_the_direct_product(m):
+    # a chain of thresholds, each the value of the last hit (which must be
+    # found again) and then one ulp below it (which must exclude that hit):
+    # the float32 scan cannot tell these apart, the direct product can
+    for seed in range(4):
+        members = _ensemble(300 + seed, 3, 10, 3, m)
+        threshold, hits = 10.0, 0
+        while hits < 12:
+            hit = landscape._search_shared_prefix(members, 3, threshold)
+            if hit is None:
+                break
+            sigma = signs_from_codes([(hit[0] << 3) | s for s in hit[1]], 10, "lex")
+            value = max(disc_value(mem, sigma[i]).value for i, mem in enumerate(members))
+            assert value <= threshold
+            assert landscape._search_shared_prefix(members, 3, value) == hit
+            threshold, hits = np.nextafter(value, 0.0), hits + 1
+        assert hits >= 3
 
 
 # -- overlap-window searches --------------------------------------------------

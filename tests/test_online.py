@@ -52,6 +52,20 @@ def test_greedy_decides_integer_instances_on_exact_int64_norms():
     assert tuple(run_online(GreedyOnline(), inst).sigma) == (1, -1)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_integer_batches_whose_row_sums_leave_int64_are_refused(dtype):
+    # the batch path used to cast to int64 with no guard, and greedy reported
+    # the wrapped row sum -446744073709551616 for a row whose l1 norm is 1.8e19
+    entries = np.array([[[9 * 10**18, 9 * 10**18], [0, 2 * 10**18]]], dtype=dtype)
+    with pytest.raises(ParameterError, match="may leave int64"):
+        run_greedy_batch(entries)
+    with pytest.raises(ParameterError, match="may leave int64"):
+        run_online_batch(RandomSigningOnline(), entries, (0,))
+    signs, sums = run_greedy_batch(entries // 2)             # l1 norm 9e18 fits
+    assert sums.dtype == np.int64
+    assert np.array_equal(sums[0], entries[0].astype(object) // 2 @ signs[0].astype(object))
+
+
 def test_greedy_m1_bounded_walk():
     inst = generate(1, 10_000, "rademacher", 7)
     res = run_online(GreedyOnline(), inst)

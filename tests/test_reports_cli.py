@@ -350,6 +350,10 @@ BAD_INSTANCE_FILES = {
     "bernoulli-csv-holds-minus-one": (b'{"rows": 2, "cols": 3, "disorder": "bernoulli", '
                                       b'"p": 0.5, "seed": 1, "body": "csv"}\n'
                                       b'0,1,1\n1,-1,0\n'),
+    # a gaussian file holds finite numbers only
+    "gaussian-csv-nan-inf": (b'{"rows": 1, "cols": 3, "disorder": "gaussian", "seed": 1, '
+                             b'"body": "csv"}\nnan,1.0,inf\n'),
+    "gaussian-raw-nan": _raw_header(1, 3) + struct.pack("<3d", 0.5, math.nan, -1.0),
 }
 
 
