@@ -23,8 +23,8 @@ from .discrepancy import enumerate_solutions, parse_sign_string, sbp_membership
 from .errors import CapacityError, ParameterError
 from .experiment import (count_payload, exact_payload, load_config, online_payload,
                          parse_seed_range, run_experiment)
-from .instances import generate, load_instance, resample_suffix, save_instance
-from .online import make_algorithm
+from .instances import DISORDERS, generate, load_instance, resample_suffix, save_instance
+from .online import ALGORITHMS, make_algorithm
 from .philox import derive_seed
 from .reports import emit_report
 
@@ -33,8 +33,7 @@ def _add_instance_args(p):
     p.add_argument("--in", dest="infile", help="read the instance from a file")
     p.add_argument("--rows", type=int, help="row count M")
     p.add_argument("--cols", type=int, help="column count n")
-    p.add_argument("--disorder", choices=("gaussian", "rademacher", "bernoulli"),
-                   default="gaussian")
+    p.add_argument("--disorder", choices=DISORDERS, default="gaussian")
     p.add_argument("--p", type=float, default=None, help="bernoulli parameter")
     p.add_argument("--seed", type=int, default=0)
 
@@ -187,12 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(task=_task_sbp)
 
     p = sub.add_parser("online", help="run an online algorithm over a seed range")
-    p.add_argument("--alg", choices=("greedy", "potential", "random"), required=True)
+    p.add_argument("--alg", choices=ALGORITHMS, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--disorder", choices=("gaussian", "rademacher", "bernoulli"),
-                   default="rademacher")
+    p.add_argument("--disorder", choices=DISORDERS, default="rademacher")
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--seeds", required=True, help="inclusive range A..B")
     p.add_argument("--out")
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(task=_task_ogp)
 
     q = modes.add_parser("stability", help="output distance on correlated pairs")
-    q.add_argument("--alg", choices=("greedy", "potential", "random"), default="greedy")
+    q.add_argument("--alg", choices=ALGORITHMS, default="greedy")
     q.add_argument("--lambda", dest="lam", type=float, default=None)
     q.add_argument("--rho", type=float, required=True)
     q.add_argument("--trials", type=int, default=200)

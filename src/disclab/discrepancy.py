@@ -102,11 +102,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
-from .instances import Instance
+from .instances import Instance, _max_row_l1
 
 EXACT_MAX_N = 30
 ENUMERATE_MAX_N = 26
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 _BLOCK_BYTES = 1 << 18
 
@@ -191,37 +190,6 @@ class DiscrepancyResult:
     row_sums: np.ndarray            # M * sigma for that vector
 
 
-def _max_row_l1(entries: np.ndarray) -> int:
-    """S = max_i sum_j |M_ij| of integer-valued entries, exactly.  A float64
-    sum of integers that comes out below 2^53 is exact (every partial sum is
-    smaller); a larger one is redone in Python integers."""
-    s = float(np.abs(entries, dtype=np.float64).sum(axis=1).max())
-    if s < 2.0 ** 53:
-        return int(s)
-    return max(sum(abs(int(x)) for x in row) for row in np.asarray(entries).tolist())
-
-
-def _int64_entries(entries) -> np.ndarray:
-    """Integer entries as int64; a ``ParameterError`` if a row l1 norm (over
-    the last axis), which bounds every partial row sum, leaves int64."""
-    entries = np.asarray(entries)
-    # n * max |M_ij| bounds S with no temporary the size of the entries
-    if entries.size and entries.shape[-1] * max(-float(entries.min()),
-                                                 float(entries.max())) >= 2.0 ** 62:
-        s = _max_row_l1(entries.reshape(-1, entries.shape[-1]))
-        if s > _INT64_MAX:
-            raise ParameterError(f"integer row sums may leave int64: the largest row l1 "
-                                 f"norm is {s}, above {_INT64_MAX}")
-    return entries.astype(np.int64, copy=False)
-
-
-def _work_entries(inst: Instance) -> np.ndarray:
-    # int64 keeps rademacher/bernoulli arithmetic exact
-    if inst.disorder == "gaussian":
-        return np.asarray(inst.entries, dtype=np.float64)
-    return _int64_entries(inst.entries)
-
-
 def _native_value(x):
     return float(x) if isinstance(x, (float, np.floating)) else int(x)
 
@@ -229,8 +197,7 @@ def _native_value(x):
 def disc_value(inst: Instance, sigma) -> DiscrepancyResult:
     """Row sums M*sigma and their max absolute value for one sign vector."""
     sig = as_sign_vector(sigma, inst.cols)
-    entries = _work_entries(inst)
-    row_sums = entries @ sig.astype(entries.dtype)
+    row_sums = inst.entries @ sig.astype(inst.entries.dtype)
     value = _native_value(np.max(np.abs(row_sums)))
     return DiscrepancyResult(value=value, argmin=sig, row_sums=row_sums)
 
@@ -389,7 +356,7 @@ def exact_discrepancy(inst: Instance, max_n: Optional[int] = None) -> Discrepanc
     max_n = EXACT_MAX_N if max_n is None else max_n
     if n > max_n:
         raise CapacityError(f"exact solve for n={n} exceeds max_n={max_n}")
-    scan = _GrayScan(_work_entries(inst))
+    scan = _GrayScan(inst.entries)
     slack = scan.slack
     best = np.inf
     best_code = np.uint64(0)
@@ -425,7 +392,7 @@ def enumerate_below(inst: Instance, threshold: float,
     max_n = ENUMERATE_MAX_N if max_n is None else max_n
     if n > max_n:
         raise CapacityError(f"enumeration for n={n} exceeds max_n={max_n}")
-    scan = _GrayScan(_work_entries(inst))
+    scan = _GrayScan(inst.entries)
     hi, lo = scan_bounds(scan.dtype, threshold, scan.slack)
     found = []
     for par, gh, vals in scan.blocks():

@@ -10,9 +10,11 @@ coordinate-parallel, and independent of evaluation order.
 disorder, p, a shape and a column offset to Philox.  ``generate`` (one
 seed), ``generate_batch`` (many seeds) and ``resample_suffix`` (the
 members' last k columns, in one batched call) all go through it.
-``_check_dims`` and ``_check_disorder`` are the one parameter rule; a
-loaded instance file and an experiment config obey it as well.  Philox
-checks the seeds.
+Building an ``Instance`` is the one check of an instance: its dims,
+disorder, p and shape, then ``_working_entries``, the one rule for the
+entries' dtype and values.  ``generate``, a file header and an experiment
+config check dims, disorder and p before they draw or read; Philox checks
+the seeds.
 
 Correlated ensembles come in two flavours:
 
@@ -44,6 +46,9 @@ _STREAM_TAG = {"gaussian": 0, "rademacher": 1, "bernoulli": 2}
 class Instance:
     """A realized random matrix plus the description that produced it.
 
+    ``entries`` is held read-only in float64 (gaussian) or int64; a writable
+    input is copied first, so later writes to it leave the instance as built.
+
     ``seed`` is None for derived instances (interpolations), whose entries
     are functions of their parents rather than of a single seed.  For
     suffix-resampled ensemble members ``seed`` is the member seed; only
@@ -57,11 +62,18 @@ class Instance:
     entries: np.ndarray = field(repr=False)
     p: Optional[float] = None
 
-    def __post_init__(self):          # O(1): the entries' values are not checked
+    def __post_init__(self):
         _check_dims(self.rows, self.cols)
+        _check_disorder(self.disorder, self.p)
         if np.shape(self.entries) != (self.rows, self.cols):
             raise ParameterError(f"entries have shape {np.shape(self.entries)}, "
                                  f"expected ({self.rows}, {self.cols})")
+        entries = _working_entries(self.entries, integer=self.disorder != "gaussian")
+        if entries.flags.writeable:
+            if np.may_share_memory(entries, self.entries):
+                entries = entries.copy()
+            entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -83,6 +95,44 @@ def _check_disorder(disorder, p) -> None:
             raise ParameterError(f"bernoulli disorder needs p in (0,1), got {p!r}")
     elif p is not None:
         raise ParameterError(f"p is only meaningful for bernoulli disorder, got p={p!r}")
+
+
+def _max_row_l1(entries: np.ndarray) -> int:
+    """S = max_i sum_j |M_ij| of integer-valued entries, exactly.  A float64
+    sum of integers that comes out below 2^53 is exact (every partial sum is
+    smaller); a larger one is redone in Python integers."""
+    s = float(np.abs(entries, dtype=np.float64).sum(axis=1).max())
+    if s < 2.0 ** 53:
+        return int(s)
+    return max(sum(abs(int(x)) for x in row) for row in np.asarray(entries).tolist())
+
+
+def _working_entries(entries, integer: bool) -> np.ndarray:
+    """``entries`` in float64, or with ``integer`` in int64.  A
+    ``ParameterError`` if the dtype is not a real number, a float entry is
+    NaN, infinite or, with ``integer``, not whole, or an integer row l1 norm
+    (over the last axis), which bounds every partial row sum, leaves int64."""
+    entries = np.asarray(entries)
+    if entries.dtype.kind not in "biuf":
+        raise ParameterError(f"entries must be real numbers, got dtype {entries.dtype}")
+    if entries.dtype.kind == "f":
+        bad = ~np.isfinite(entries)
+        if integer:
+            bad |= entries != np.trunc(entries)
+        if bad.any():
+            at = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ParameterError(f"entries must be {'whole' if integer else 'finite'} "
+                                 f"numbers, got {entries[at]} at {at}")
+    if not integer:
+        return entries.astype(np.float64, copy=False)
+    # n * max |M_ij| bounds S with no temporary the size of the entries
+    if entries.size and entries.shape[-1] * max(-float(entries.min()),
+                                                float(entries.max())) >= 2.0 ** 62:
+        s = _max_row_l1(entries.reshape(-1, entries.shape[-1]))
+        if s >= 2 ** 63:
+            raise ParameterError(f"integer row sums may leave int64: the largest row l1 "
+                                 f"norm is {s}, above {2 ** 63 - 1}")
+    return entries.astype(np.int64, copy=False)
 
 
 def _draw(key, disorder: str, p: Optional[float], rows: int, cols: int,
@@ -107,9 +157,7 @@ def generate(rows: int, cols: int, disorder: str, seed: int,
     """Generate a fresh instance; identical arguments give identical entries."""
     _check_dims(rows, cols)
     _check_disorder(disorder, p)
-    entries = _draw(seed, disorder, p, rows, cols)
-    entries.setflags(write=False)
-    return Instance(rows, cols, disorder, seed, entries, p)
+    return Instance(rows, cols, disorder, seed, _draw(seed, disorder, p, rows, cols), p)
 
 
 def generate_batch(rows: int, cols: int, disorder: str, seeds,
@@ -148,7 +196,6 @@ def resample_suffix(base: Instance, k: int, m: int,
     members = [base]
     for s, suffix in zip(seeds, suffixes):
         entries = np.concatenate([base.entries[:, : n - k], suffix], axis=1)
-        entries.setflags(write=False)
         members.append(Instance(base.rows, n, base.disorder, int(s), entries, base.p))
     return members
 
@@ -171,9 +218,7 @@ def interpolate(base: Instance, fresh: Instance, tau: float) -> Instance:
         c, s = 0.0, 1.0
     else:
         c, s = np.cos(tau), np.sin(tau)
-    entries = c * base.entries + s * fresh.entries
-    entries.setflags(write=False)
-    return Instance(base.rows, base.cols, "gaussian", None, entries)
+    return Instance(base.rows, base.cols, "gaussian", None, c * base.entries + s * fresh.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +238,9 @@ def save_instance(inst: Instance, path, body: str = "csv") -> None:
         if body == "raw":
             fh.write(np.ascontiguousarray(inst.entries, dtype="<f8").tobytes())
         else:
-            integer = inst.disorder in ("rademacher", "bernoulli")
+            fmt = ".17g" if inst.disorder == "gaussian" else "d"
             for row in inst.entries:
-                if integer:
-                    line = ",".join(str(int(v)) for v in row)
-                else:
-                    line = ",".join(format(v, ".17g") for v in row)
-                fh.write(line.encode("ascii") + b"\n")
+                fh.write(",".join(format(v, fmt) for v in row).encode("ascii") + b"\n")
 
 
 _HEADER_KEYS = ("rows", "cols", "disorder", "body")
@@ -228,22 +269,21 @@ def _read_header(fh, path) -> dict:
     return header
 
 
-def _parse_csv(body: bytes, rows: int, cols: int, integer: bool, path) -> np.ndarray:
+def _parse_csv(body: bytes, rows: int, cols: int, path) -> np.ndarray:
     try:
         lines = body.decode("ascii").strip().splitlines()
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(f"{path}: csv body is not ascii ({exc})") from None
     if len(lines) != rows:
         raise InstanceFormatError(f"{path}: csv body has {len(lines)} rows, header says {rows}")
-    parse = int if integer else float
-    out = np.empty((rows, cols), dtype=np.int64 if integer else np.float64)
+    out = np.empty((rows, cols), dtype=np.float64)
     for i, line in enumerate(lines):
         fields = line.split(",")
         if len(fields) != cols:
             raise InstanceFormatError(f"{path}: csv row {i} has {len(fields)} values, "
                                       f"header says {cols}")
         try:
-            out[i] = [parse(v) for v in fields]
+            out[i] = [float(v) for v in fields]
         except (ValueError, OverflowError) as exc:
             raise InstanceFormatError(f"{path}: csv row {i}: {exc}") from None
     return out
@@ -265,21 +305,19 @@ def load_instance(path) -> Instance:
         if len(body) < need:
             raise InstanceFormatError(f"{path}: raw body holds {len(body)} bytes, "
                                       f"{rows}x{cols} float64 entries need {need}")
-        entries = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols).copy()
+        entries = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols)
     else:
-        entries = _parse_csv(body, rows, cols, values is not None, path)
-    # every entry is finite, and a resampled ensemble mixes the file's prefix
-    # with fresh draws of the family, so an integer family's file holds its
-    # values and no others
-    ok = np.isfinite(entries) if values is None else np.isin(entries, values)
-    bad = np.argwhere(~ok)
-    if bad.size:
-        i, j = bad[0]
-        want = "a finite number" if values is None else f"one of {values}"
-        raise InstanceFormatError(f"{path}: {header['disorder']} entry ({i}, {j}) is "
-                                  f"{entries[i, j]}, expected {want}")
+        entries = _parse_csv(body, rows, cols, path)
+    # a resampled ensemble mixes the file's prefix with fresh draws of the
+    # family, so an integer family's file holds its values and no others
     if values is not None:
-        entries = entries.astype(np.int64, copy=False)
-    entries.setflags(write=False)
-    return Instance(rows, cols, header["disorder"], header.get("seed"), entries,
-                    header.get("p"))
+        bad = np.argwhere(~np.isin(entries, values))
+        if bad.size:
+            i, j = bad[0]
+            raise InstanceFormatError(f"{path}: {header['disorder']} entry ({i}, {j}) is "
+                                      f"{entries[i, j]}, expected one of {values}")
+    try:
+        return Instance(rows, cols, header["disorder"], header.get("seed"), entries,
+                        header.get("p"))
+    except ParameterError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from None

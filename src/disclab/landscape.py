@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import philox
-from .discrepancy import (_block_bits, _direct_value, _suffix_table, _work_entries,
-                          aligned_empty, codes_from_signs, disc_value, enumerate_below,
-                          max_abs_rows, scan_bounds, scan_precision, signs_from_codes)
+from .discrepancy import (_block_bits, _direct_value, _suffix_table, aligned_empty,
+                          codes_from_signs, disc_value, enumerate_below, max_abs_rows,
+                          scan_bounds, scan_precision, signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
 from .instances import Instance, generate, interpolate
 from .online import run_online_batch
@@ -33,8 +33,6 @@ from .online import run_online_batch
 XI_MAX_N = 22
 OGP_MAX_N_PAIR = 18
 OGP_MAX_N_TRIPLE = 14
-
-_INTEGER_DISORDERS = ("rademacher", "bernoulli")
 
 # gram entries per row block of the overlap histogram's pair count
 _HISTOGRAM_ENTRIES = 1 << 20
@@ -195,7 +193,7 @@ def _search_shared_prefix(members: Sequence[Instance], k: int,
     in its column, and survivors are decided in order from those norms.
     """
     n_pref = members[0].cols - k
-    work = [_work_entries(mem) for mem in members]
+    work = [mem.entries for mem in members]
     dtype, slack = scan_precision(np.concatenate(work), 0)
     hi, lo = scan_bounds(dtype, threshold, slack)
     m_rows = members[0].rows
@@ -253,7 +251,7 @@ def search_xi_disc(members: Sequence[Instance], k: int, c_u: float,
     for integer (rademacher / bernoulli) disorder; comparisons are exact
     integer arithmetic against the float threshold.  ``max_n`` is as in
     ``search_xi_sbp``."""
-    if members[0].disorder not in _INTEGER_DISORDERS:
+    if members[0].disorder == "gaussian":
         raise UnsupportedDisorderError("discrepancy tuple search needs integer disorder")
     if not c_u > 0:
         raise ParameterError(f"c_u must be positive, got {c_u}")
@@ -325,17 +323,17 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
     if n > cap:
         raise CapacityError(f"tuple search for n={n} exceeds max_n={cap}")
 
-    member_codes: list[np.ndarray] = []
-    witnesses: list[dict[int, int]] = []
+    # each member's sorted codes, and for each the first angle it solves:
+    # np.unique's first occurrence in grid order
+    member_codes, first_angles = [], []
     for i in range(m):
-        wit: dict[int, int] = {}
-        for ai, tau in enumerate(angles):
-            inst_tau = interpolate(base, fresh[i], tau)
-            sols = enumerate_below(inst_tau, threshold, max_n=n)
-            for code in codes_from_signs(sols, "lex"):
-                wit.setdefault(int(code), ai)
-        member_codes.append(np.array(sorted(wit), dtype=np.uint64))
-        witnesses.append(wit)
+        per_angle = [codes_from_signs(enumerate_below(interpolate(base, fresh[i], tau),
+                                                      threshold, max_n=n), "lex")
+                     for tau in angles]
+        codes, first = np.unique(np.concatenate(per_angle), return_index=True)
+        angle_of = np.repeat(np.arange(len(angles)), [len(c) for c in per_angle])
+        member_codes.append(codes)
+        first_angles.append(angle_of[first])
 
     chosen: list[int] = []
 
@@ -357,7 +355,8 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
     if not extend(0):
         return None
     sigma = signs_from_codes(chosen, n, "lex")
-    taus = [angles[witnesses[i][chosen[i]]] for i in range(m)]
+    taus = [angles[first_angles[i][np.searchsorted(member_codes[i], chosen[i])]]
+            for i in range(m)]
     disc = np.array([disc_value(interpolate(base, fresh[i], taus[i]), sigma[i]).value
                      for i in range(m)], dtype=float)
     return TupleCertificate(members=sigma, overlaps=_overlap_vector(sigma),

@@ -66,9 +66,9 @@ from typing import Union
 import numpy as np
 
 from . import philox
-from .discrepancy import _int64_entries, _native_value, _work_entries
+from .discrepancy import _native_value
 from .errors import ContractViolationError, ParameterError
-from .instances import Instance
+from .instances import Instance, _working_entries
 
 _LOG2 = float(np.log(2.0))
 # last counter word of the random signer's Philox blocks
@@ -319,21 +319,17 @@ def _column_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
 def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
     """Run ``alg`` on B instances at once; the only loop that feeds columns.
 
-    ``entries`` has shape (B, M, n), float (run in float64) or integer
-    (run in int64, refused when a row l1 norm leaves it); ``omegas`` holds one aux seed per instance.  Returns
+    ``entries`` has shape (B, M, n) and must be finite; it is guarded as an
+    ``Instance``'s entries are, floats run in float64 and integers in int64.
+    ``omegas`` holds one aux seed per instance.  Returns
     (signs (B, n) int8, row sums (B, M)), where the row sums are the direct
     products ``entries[i] @ signs[i]``, not the drifted running sums.
     Column t of instance i sees columns 1..t of instance i only.
     """
-    work = np.asarray(entries)
-    if work.ndim != 3:
-        raise ParameterError(f"entries must have shape (B, M, n), got {work.shape}")
-    if work.dtype.kind == "f":
-        work = work.astype(np.float64, copy=False)
-    elif work.dtype.kind in "biu":
-        work = _int64_entries(work)
-    else:
-        raise ParameterError(f"entries must be real numbers, got dtype {work.dtype}")
+    entries = np.asarray(entries)
+    if entries.ndim != 3:
+        raise ParameterError(f"entries must have shape (B, M, n), got {entries.shape}")
+    work = _working_entries(entries, integer=entries.dtype.kind != "f")
     b, m, n = work.shape
     if len(omegas) != b:
         raise ParameterError(f"need one omega per instance: {len(omegas)} for {b}")
@@ -352,7 +348,7 @@ def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.n
 
 def run_online(alg, inst: Instance, omega: int = 0) -> OnlineResult:
     """Feed columns left to right; coordinate t sees columns 1..t only."""
-    sigma, sums = run_online_batch(alg, _work_entries(inst)[None], (omega,))
+    sigma, sums = run_online_batch(alg, inst.entries[None], (omega,))
     return OnlineResult(sigma=sigma[0], row_sums=sums[0],
                         value=_native_value(np.max(np.abs(sums[0]))))
 

@@ -11,7 +11,7 @@ from disclab import (CapacityError, Instance, ParameterError,
                      enumerate_solutions, exact_discrepancy, generate, parse_sign_string,
                      sbp_membership, search_xi_sbp, sign_string)
 from disclab import discrepancy
-from disclab.discrepancy import (_GrayScan, _suffix_table, _work_entries, aligned_empty,
+from disclab.discrepancy import (_GrayScan, _suffix_table, aligned_empty,
                                  codes_from_signs, scan_precision, signs_from_codes)
 from oracles import (gray_first_minimizer, gray_suffix_table, lex_suffix_table,
                      naive_disc_value, naive_exact_value, naive_solution_set)
@@ -96,7 +96,7 @@ def test_exact_multi_block_path(monkeypatch):
     for budget in BLOCK_BUDGETS:
         with monkeypatch.context() as mp:
             _set_budget(mp, budget)
-            assert (_GrayScan(_work_entries(inst)).n_blocks > 1) == (budget is not None)
+            assert (_GrayScan(inst.entries).n_blocks > 1) == (budget is not None)
             res = exact_discrepancy(inst)
         assert res.value == want[0]
         assert np.array_equal(res.argmin, want[1])
@@ -124,7 +124,7 @@ def test_every_block_size_gives_the_same_answers(disorder, budget, monkeypatch):
         inst = generate(1 + n % 4, n, disorder, 100 + n,
                         p=0.5 if disorder == "bernoulli" else None)
         threshold = disc_value(inst, signs_from_codes([(1 << n) // 3], n, "lex")[0]).value
-        assert _GrayScan(_work_entries(inst)).n_blocks == 1
+        assert _GrayScan(inst.entries).n_blocks == 1
         want = enumerate_below(inst, threshold)
         with monkeypatch.context() as mp:
             mp.setattr(discrepancy, "_BLOCK_BYTES", budget)
@@ -139,7 +139,7 @@ def test_every_block_size_gives_the_same_answers(disorder, budget, monkeypatch):
 @pytest.mark.parametrize("disorder", ["rademacher", "bernoulli", "gaussian"])
 def test_suffix_table_matches_its_definition(disorder, order, monkeypatch):
     inst = generate(5, 12, disorder, 7, p=0.5 if disorder == "bernoulli" else None)
-    entries = _work_entries(inst)
+    entries = inst.entries
     s = float(np.abs(entries).sum(axis=1).max())
     dtype = scan_precision(entries, 0)[0]
     for q in range(12):
@@ -502,9 +502,10 @@ def test_a_vector_at_kappa_sqrt_n_is_a_member(data):
 
 
 def test_disc_value_refuses_row_sums_beyond_int64():
-    # all-plus row sum 12000000000000000001 used to wrap to 6446744073709551615
-    inst = _inst([[3 * 10**18] * 4 + [1]])
+    # all-plus row sum 12000000000000000001 used to wrap to 6446744073709551615;
+    # the instance is refused when it is built
     with pytest.raises(ParameterError, match="int64"):
+        inst = _inst([[3 * 10**18] * 4 + [1]])
         disc_value(inst, [1] * 5)
 
 

@@ -241,6 +241,60 @@ def test_interpolate_errors():
         interpolate(generate(2, 3, "rademacher", 1), fresh, 0.3)
 
 
+@pytest.mark.parametrize("disorder, p, rows, match", [
+    ("rademacher", None, [[0.5, 1, 1]], r"whole numbers, got 0.5 at \(0, 0\)"),
+    ("bernoulli", 0.5, [[1, 0], [0, 0.25]], r"whole numbers, got 0.25 at \(1, 1\)"),
+    ("rademacher", None, [[1, np.inf]], "whole numbers, got inf"),
+    ("gaussian", None, [[0.5, np.nan, -1.0]], r"finite numbers, got nan at \(0, 1\)"),
+    ("gaussian", None, [[0.5], [-np.inf]], "finite numbers, got -inf"),
+    ("gaussian", None, np.ones((1, 2), dtype=complex), "real numbers"),
+    ("rademacher", None, np.array([["1", "-1"]]), "real numbers"),
+    ("foo", None, [[1.0]], "unknown disorder 'foo'"),
+    ("bernoulli", None, [[1, 0]], "needs p"),
+    ("rademacher", 0.5, [[1, -1]], "only meaningful for bernoulli")])
+def test_instance_values_and_disorder_are_checked_at_construction(disorder, p, rows, match):
+    # each used to construct: a fractional rademacher instance was truncated
+    # to int64, so exact_discrepancy of [[0.5, 1, 1]] reported 0 for 0.5, and
+    # a NaN gaussian instance gave an exact minimum of nan
+    arr = np.asarray(rows)
+    with pytest.raises(ParameterError, match=match):
+        Instance(arr.shape[0], arr.shape[1], disorder, None, rows, p)
+
+
+def test_instance_holds_its_entries_in_one_working_dtype():
+    inst = Instance(1, 3, "rademacher", 0, [[1.0, -1.0, 3.0]])
+    assert inst.entries.dtype == np.int64 and inst.entries.tolist() == [[1, -1, 3]]
+    inst = Instance(1, 3, "bernoulli", 0, np.array([[True, False, True]]), 0.5)
+    assert inst.entries.dtype == np.int64
+    inst = Instance(2, 1, "gaussian", None, np.array([[1], [2]], dtype=np.int32))
+    assert inst.entries.dtype == np.float64
+
+
+def test_instance_entries_are_read_only_and_its_own():
+    # a later write to the caller's array used to change the instance
+    arr = np.ones((2, 3))
+    inst = Instance(2, 3, "gaussian", None, arr)
+    arr[0, 0] = 5.0
+    assert inst.entries[0, 0] == 1.0 and not inst.entries.flags.writeable
+    view = np.ones((2, 6))[:, ::2]
+    inst = Instance(2, 3, "gaussian", None, view)
+    view[1, 1] = 7.0
+    assert inst.entries[1, 1] == 1.0
+    frozen = generate(2, 3, "gaussian", 1).entries
+    assert Instance(2, 3, "gaussian", None, frozen).entries is frozen
+    with pytest.raises(ValueError):
+        inst.entries[0, 0] = 2.0
+
+
+def test_load_instance_reports_a_refused_instance_with_its_path(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b'{"rows": 1, "cols": 2, "disorder": "gaussian", "seed": 1, '
+                     b'"body": "csv"}\n0.5,nan\n')
+    with pytest.raises(InstanceFormatError, match=r"inst.txt: entries must be finite "
+                                                  r"numbers, got nan at \(0, 1\)"):
+        load_instance(path)
+
+
 def test_instance_file_roundtrip_csv(tmp_path):
     for kind, p in (("gaussian", None), ("rademacher", None), ("bernoulli", 0.25)):
         inst = generate(3, 5, kind, 77, p=p)

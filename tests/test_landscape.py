@@ -189,7 +189,7 @@ def test_shared_prefix_search_returns_the_first_tuple_at_every_block_size(
         for k in range(1, n + 1):
             members = _ensemble(1000 * n + 10 * k + m, rows, n, k, m, disorder,
                                 p=0.5 if disorder == "bernoulli" else None)
-            work = [discrepancy._work_entries(mem) for mem in members]
+            work = [mem.entries for mem in members]
             dtype = discrepancy.scan_precision(np.concatenate(work), 0)[0]
             sums = all_sign_vectors(n) @ np.asarray(members[0].entries, dtype=np.float64).T
             norms = np.unique(np.abs(sums).max(axis=1))

@@ -66,6 +66,17 @@ def test_integer_batches_whose_row_sums_leave_int64_are_refused(dtype):
     assert np.array_equal(sums[0], entries[0].astype(object) // 2 @ signs[0].astype(object))
 
 
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_a_non_finite_batch_is_refused_naming_the_entries(alg):
+    # greedy used to blame its own scores ("overflow float64") and random
+    # returned NaN row sums with no error
+    entries = np.ones((2, 3, 4))
+    entries[1, 2, 0] = np.nan
+    with pytest.raises(ParameterError, match=r"entries must be finite numbers, got nan "
+                                             r"at \(1, 2, 0\)"):
+        run_online_batch(make_algorithm(alg), entries, (0, 1))
+
+
 def test_greedy_m1_bounded_walk():
     inst = generate(1, 10_000, "rademacher", 7)
     res = run_online(GreedyOnline(), inst)
@@ -441,8 +452,10 @@ def test_block_contract_violation_wrong_shape():
 
 
 def test_run_online_refuses_row_sums_beyond_int64():
-    inst = Instance(1, 5, "rademacher", 0, np.array([[3 * 10**18] * 4 + [1]], dtype=np.int64))
+    # refused when the instance is built, before any run
     with pytest.raises(ParameterError, match="int64"):
+        inst = Instance(1, 5, "rademacher", 0,
+                        np.array([[3 * 10**18] * 4 + [1]], dtype=np.int64))
         run_online(GreedyOnline(), inst)
 
 
