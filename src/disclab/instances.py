@@ -116,11 +116,11 @@ def _working_entries(entries, integer: bool) -> np.ndarray:
     if entries.dtype.kind not in "biuf":
         raise ParameterError(f"entries must be real numbers, got dtype {entries.dtype}")
     if entries.dtype.kind == "f":
-        bad = ~np.isfinite(entries)
+        ok = np.isfinite(entries)
         if integer:
-            bad |= entries != np.trunc(entries)
-        if bad.any():
-            at = tuple(int(i) for i in np.argwhere(bad)[0])
+            ok &= entries == np.trunc(entries)
+        if not ok.all():
+            at = tuple(int(i) for i in np.argwhere(~ok)[0])
             raise ParameterError(f"entries must be {'whole' if integer else 'finite'} "
                                  f"numbers, got {entries[at]} at {at}")
     if not integer:
