@@ -21,15 +21,16 @@ fixed cost of a block's few ufunc calls is spread over as many candidates
 as fit in cache whatever M and the dtype are.  The low q Gray bits are
 expanded once into an (M, 2^q) table, column r holding the change of the
 row sums when the set bits of gray(r) flip (``_suffix_table``, "gray"
-order).  Each block adds the high-bit row sums to every column of the
-table in one preallocated (M, 2^q) buffer and reduces max |.| over the M
-rows (``max_abs_rows``), giving the 2^q candidates' norms in table order.
-An even block visits them in that order, an odd block reversed, by the
-reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1), so the global
-visiting order is preserved exactly.  The walk code of a block's r-th
-candidate is the high bits above gray(r) XOR parity * 2^(q-1).  The
-shared-prefix searches in ``landscape`` scan blocks the same way on
-"lex" tables.
+order).  Block j adds the row sums of high code gray(j) to every column of
+the table in one preallocated (M, 2^q) buffer and reduces max |.| over the
+M rows (``max_abs_rows``), giving the 2^q candidates' norms in table
+order: column c is the candidate with walk code gray(j) * 2^q + gray(c),
+in every block.  One query, ``_GrayScan.below``, hands every caller the
+codes and norms of a block's candidates scanned at most a bound, in walk
+order.  An even block walks its columns upward and an odd one downward,
+by the reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1), so the
+global visiting order is preserved exactly.  The shared-prefix searches
+in ``landscape`` scan blocks the same way on "lex" tables.
 
 Scan dtype (``scan_precision``).  Let S = max_i sum_j |M_ij|; every row
 sum, prefix or suffix sum of a candidate is at most S in absolute value,
@@ -302,41 +303,37 @@ class _GrayScan:
         self.base = entries.sum(axis=1)
 
     def blocks(self):
-        """Yield (parity, gray_high, norms of shape (2^q,)) per block.
+        """Yield (j, norms of shape (2^q,)) per block j.
 
-        norms[r] is ||M sigma||_inf of the block's r-th candidate in walk
-        order, in the scan dtype; the array is reused by the next block.
-        An odd block visits table column b-1-r at its step r, since
-        gray(b-1-r) = gray(r) XOR (b>>1), so its norms are read reversed.
+        norms[c] is ||M sigma||_inf, in the scan dtype, of the candidate with
+        high code gray(j) and low code gray(c): table order, the same in
+        every block.  The array is reused by the next block; ``below`` reads
+        it in walk order.
         """
         m = self.entries.shape[0]
-        b = 1 << self.q
-        buf = aligned_empty((m, b), self.dtype)
-        vals = aligned_empty(b, self.dtype)
-        walk = (vals, vals[::-1])
+        buf = aligned_empty((m, 1 << self.q), self.dtype)
+        norms = aligned_empty(1 << self.q, self.dtype)
         cur = self.base.copy()                  # wide high-bit row sums
         head = np.empty((m, 1), dtype=self.dtype)
-        gray_high = 0
         for j in range(self.n_blocks):
             if j:
                 bit = (j & -j).bit_length() - 1
-                col = self.entries[:, 1 + self.q + bit]
-                if (gray_high >> bit) & 1:
-                    cur += 2 * col
-                    gray_high ^= 1 << bit
-                else:
-                    cur -= 2 * col
-                    gray_high |= 1 << bit
+                step = -2 if ((j ^ (j >> 1)) >> bit) & 1 else 2     # -2 if gray(j) sets it
+                cur += step * self.entries[:, 1 + self.q + bit]
             head[:, 0] = cur
-            max_abs_rows(head, self.table, buf, vals)
-            yield j & 1, gray_high, walk[j & 1]
+            max_abs_rows(head, self.table, buf, norms)
+            yield j, norms
 
-    def codes(self, parity: int, gray_high: int, rs) -> np.ndarray:
-        """Walk codes of within-block candidate positions ``rs``:
-        gray(r) XOR parity (b>>1) in the low q bits, gray_high above."""
-        r = np.asarray(rs, dtype=np.uint64)
-        low = r ^ (r >> np.uint64(1)) ^ np.uint64(parity * ((1 << self.q) >> 1))
-        return np.uint64(gray_high << self.q) | low
+    def below(self, j, norms, bound) -> tuple[np.ndarray, np.ndarray]:
+        """(walk codes, scanned norms) of block j's candidates scanned at
+        most ``bound``, in walk order.  An odd block walks its table columns
+        downward, since its step r visits low code gray(r) XOR (b>>1) =
+        gray(b-1-r)."""
+        c = np.flatnonzero(norms <= bound)
+        if j & 1:
+            c = c[::-1]
+        low = c.astype(np.uint64)
+        return np.uint64((j ^ (j >> 1)) << self.q) | (low ^ (low >> np.uint64(1))), norms[c]
 
 
 def _direct_value(inst: Instance, code, order: str = "gray") -> Union[int, float]:
@@ -360,16 +357,15 @@ def exact_discrepancy(inst: Instance, max_n: Optional[int] = None) -> Discrepanc
     slack = scan.slack
     best = np.inf
     best_code = np.uint64(0)
-    for par, gh, vals in scan.blocks():
-        r = int(vals.argmin())
+    for j, norms in scan.blocks():
+        v = norms.min()
         if not slack:
-            if vals[r] < best:
-                best, best_code = vals[r], scan.codes(par, gh, r)
+            if v < best:
+                best, best_code = v, scan.below(j, norms, v)[0][0]
             continue
-        if not vals[r] <= best + slack:
+        if not v <= best + slack:
             continue
-        near = np.flatnonzero((vals <= float(vals[r]) + 2 * slack) & (vals <= best + slack))
-        for code in scan.codes(par, gh, near):
+        for code in scan.below(j, norms, min(float(v) + 2 * slack, best + slack))[0]:
             value = _direct_value(inst, code)
             if value < best:
                 best, best_code = value, code
@@ -395,20 +391,15 @@ def enumerate_below(inst: Instance, threshold: float,
     scan = _GrayScan(inst.entries)
     hi, lo = scan_bounds(scan.dtype, threshold, scan.slack)
     found = []
-    for par, gh, vals in scan.blocks():
-        hits = (vals <= hi).nonzero()[0]
-        if not hits.size:
-            continue
-        codes = scan.codes(par, gh, hits)
-        keep = vals[hits] < lo
+    for j, norms in scan.blocks():
+        codes, scanned = scan.below(j, norms, hi)
+        keep = scanned < lo
         if not keep.all():
             for i in (~keep).nonzero()[0]:
                 keep[i] = _direct_value(inst, codes[i]) <= threshold
             codes = codes[keep]
         found.append(codes)
     del scan            # free its table before the sign matrix is built
-    if not found:
-        return np.empty((0, n), dtype=np.int8)
     half = signs_from_codes(np.concatenate(found), n, "gray")
     return np.concatenate([half, -half], axis=0)
 

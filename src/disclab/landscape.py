@@ -27,7 +27,7 @@ from .discrepancy import (_block_bits, _direct_value, _suffix_table, aligned_emp
                           codes_from_signs, disc_value, enumerate_below, max_abs_rows,
                           scan_bounds, scan_precision, signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
-from .instances import Instance, generate, interpolate
+from .instances import Instance, _check_dims, generate, interpolate
 from .online import run_online_batch
 
 XI_MAX_N = 22
@@ -407,6 +407,7 @@ def stability_probe(alg, rho: float, trials: int, n: int, rows: int,
     """
     if not 0.0 <= rho <= 1.0:
         raise ParameterError(f"rho must lie in [0,1], got {rho}")
+    _check_dims(rows, n)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not math.isfinite(threshold):

@@ -330,6 +330,11 @@ def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.n
     if entries.ndim != 3:
         raise ParameterError(f"entries must have shape (B, M, n), got {entries.shape}")
     work = _working_entries(entries, integer=entries.dtype.kind != "f")
+    return _run_columns(alg, work, omegas)
+
+
+def _run_columns(alg, work: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """``run_online_batch`` on entries that ``_working_entries`` returned."""
     b, m, n = work.shape
     if len(omegas) != b:
         raise ParameterError(f"need one omega per instance: {len(omegas)} for {b}")
@@ -348,7 +353,7 @@ def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.n
 
 def run_online(alg, inst: Instance, omega: int = 0) -> OnlineResult:
     """Feed columns left to right; coordinate t sees columns 1..t only."""
-    sigma, sums = run_online_batch(alg, inst.entries[None], (omega,))
+    sigma, sums = _run_columns(alg, inst.entries[None], (omega,))
     return OnlineResult(sigma=sigma[0], row_sums=sums[0],
                         value=_native_value(np.max(np.abs(sums[0]))))
 

@@ -38,8 +38,8 @@ def prob_abs_z_le(kappa: float) -> float:
 
 def alpha_c(kappa: float) -> float:
     """Critical constraint density -1 / log2 P[|Z| <= kappa]."""
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    if not (kappa > 0 and prob_abs_z_le(kappa) < 1.0):
+        raise ParameterError(f"kappa must be positive with P[|Z| <= kappa] < 1, got {kappa}")
     return -1.0 / math.log2(prob_abs_z_le(kappa))
 
 
@@ -95,8 +95,8 @@ def _member_terms(w: int, delta: float, alpha: float, kappa: float) -> dict[str,
     box volume, and one small eigenvalue delta of the correlation matrix."""
     if not 0.0 < delta < 0.5:
         raise ParameterError(f"delta must lie in (0, 1/2), got {delta}")
-    if not alpha > 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if not kappa > 0:
         raise ParameterError(f"kappa must be positive, got {kappa}")
     return {
@@ -149,8 +149,8 @@ def psi_disc(m: int, beta: float, eta: float, c: float, n: float, M: float,
         raise ParameterError(f"need 0 < eta < beta < 1, got eta={eta}, beta={beta}")
     if m < 2:
         raise ParameterError(f"tuple size m must be >= 2, got {m}")
-    if not (n > 0 and M > 0 and K > 0):
-        raise ParameterError(f"n, M, K must be positive, got {n}, {M}, {K}")
+    if not (0 < n < math.inf and M > 0 and K > 0):
+        raise ParameterError(f"need finite n > 0, M > 0 and K > 0, got {n}, {M}, {K}")
     if entropy_factor not in ("m", "m-1"):
         raise ParameterError(f"entropy_factor must be 'm' or 'm-1', got {entropy_factor!r}")
     mu = m if entropy_factor == "m" else m - 1
@@ -183,8 +183,8 @@ def find_ogp_params(C1: float, c2: float, K: float) -> OgpParams:
     (which keeps every admissible covariance positive definite) and
     c = 1/m.
     """
-    if not (C1 > c2 > 0):
-        raise ParameterError(f"need C1 > c2 > 0, got C1={C1}, c2={c2}")
+    if not (math.inf > C1 > c2 > 0):
+        raise ParameterError(f"need C1 > c2 > 0 and C1 finite, got C1={C1}, c2={c2}")
     if not K > 0:
         raise ParameterError(f"K must be positive, got {K}")
     m = max(2, math.ceil(16.0 * C1))
@@ -272,6 +272,8 @@ def gaussian_box_bound(m: int, beta: float, eta: Union[float, Sequence[float]],
     """
     if not (0 < K < math.inf and 0 < n < math.inf):
         raise ParameterError(f"K and n must be positive and finite, got K={K}, n={n}")
+    if m < 1 or not np.isfinite(eta).all():
+        raise ParameterError(f"need m >= 1 and a finite eta, got m={m}, eta={eta}")
     if np.isscalar(eta):
         eta_vec = [float(eta)] * (m * (m - 1) // 2)
     else:
@@ -535,10 +537,10 @@ def expected_tuple_count_general(n: int, M: int, m: int, hamming_delta: int,
     The pairwise overlap is 1 - 2 delta/n; negative overlaps with m > 3
     fall back to the Monte Carlo oracle (deterministic given mc_seed).
     """
+    if min(n, m, M) < 1:
+        raise ParameterError(f"need n, m and M >= 1, got n={n}, m={m}, M={M}")
     if not 0 <= hamming_delta <= n:
         raise ParameterError(f"hamming distance must lie in [0, n], got {hamming_delta}")
-    if m < 1 or M < 1:
-        raise ParameterError(f"need m >= 1 and M >= 1, got m={m}, M={M}")
     if not K > 0:
         raise ParameterError(f"K must be positive, got {K}")
     rho = 1.0 - 2.0 * hamming_delta / n

@@ -71,6 +71,21 @@ def gray_first_minimizer(entries):
     return sigma[int(np.argmin(vals))]
 
 
+def gray_walk_solutions(entries, threshold):
+    """Sign vectors with max-norm <= threshold in the exact solver's walk
+    order (sigma(1) = +1, as in ``gray_first_minimizer``), then their
+    negations in the same order.  One full-space recompute."""
+    entries = np.asarray(entries)
+    n = entries.shape[1]
+    g = np.arange(1 << (n - 1), dtype=np.int64)
+    g ^= g >> 1
+    sigma = np.ones((g.shape[0], n), dtype=entries.dtype)
+    for b in range(n - 1):
+        sigma[((g >> b) & 1) == 1, b + 1] = -1
+    half = sigma[np.abs(sigma @ entries.T).max(axis=1) <= threshold].astype(np.int8)
+    return np.concatenate([half, -half], axis=0)
+
+
 def gray_suffix_table(entries, q):
     """The exact solver's (M, 2^q) suffix table from its definition: column r
     sums -2 * M[:, j+1] over the set bits j of gray(r) = r XOR (r >> 1), in

@@ -13,8 +13,8 @@ from disclab import (CapacityError, Instance, ParameterError,
 from disclab import discrepancy
 from disclab.discrepancy import (_GrayScan, _suffix_table, aligned_empty,
                                  codes_from_signs, scan_precision, signs_from_codes)
-from oracles import (gray_first_minimizer, gray_suffix_table, lex_suffix_table,
-                     naive_disc_value, naive_exact_value, naive_solution_set)
+from oracles import (gray_first_minimizer, gray_suffix_table, gray_walk_solutions,
+                     lex_suffix_table, naive_disc_value, naive_exact_value, naive_solution_set)
 
 # block budgets in bytes (None: the default _BLOCK_BYTES); a small budget cuts
 # the walk into many blocks of both parities, and 1 byte gives blocks of one
@@ -90,7 +90,7 @@ def test_exact_matches_naive_all_disorders():
 
 def test_exact_multi_block_path(monkeypatch):
     # below the default budget the high-bit incremental updates and the
-    # reversed reads of odd blocks are exercised
+    # downward walk of odd blocks' table columns are exercised
     inst = generate(3, 16, "rademacher", 99)
     want = naive_exact_value(inst.entries), gray_first_minimizer(inst.entries)
     for budget in BLOCK_BUDGETS:
@@ -133,6 +133,37 @@ def test_every_block_size_gives_the_same_answers(disorder, budget, monkeypatch):
         assert np.array_equal(res.argmin, gray_first_minimizer(inst.entries))
         assert res.value == disc_value(inst, res.argmin).value
         assert np.array_equal(got, want)
+
+
+def _tied_instance(disorder, rows, cols, seed):
+    # "gaussian" disorder with whole float entries in -2..2: the float scan
+    # meets exact ties, decided on direct products.  Column 2 is zero on even
+    # seeds, so candidates tie in pairs (table columns 2k and 2k+1) that an
+    # odd block walks in the reverse of table order.
+    if disorder != "gaussian":
+        return generate(rows, cols, disorder, seed, p=0.5 if disorder == "bernoulli" else None)
+    entries = np.random.default_rng(seed).integers(-2, 3, (rows, cols)).astype(np.float64)
+    if seed % 2 == 0:
+        entries[:, 1] = 0
+    return Instance(rows, cols, "gaussian", seed, entries)
+
+
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+@pytest.mark.parametrize("disorder", ["rademacher", "bernoulli", "gaussian"])
+def test_scans_hand_out_candidates_in_walk_order(disorder, budget, monkeypatch):
+    # odd blocks walk their table columns downward; reading an odd block's
+    # candidates in table order reorders solutions and breaks ties wrongly
+    _set_budget(monkeypatch, budget)
+    for seed in range(8):
+        n = 10 + seed % 5
+        inst = _tied_instance(disorder, 2 + seed % 3, n, seed)
+        res = exact_discrepancy(inst)
+        assert np.array_equal(res.argmin, gray_first_minimizer(inst.entries))
+        codes = np.random.default_rng(seed).integers(0, 1 << n, 2)
+        for sigma in [res.argmin, *signs_from_codes(codes, n, "lex")]:
+            threshold = disc_value(inst, sigma).value
+            assert np.array_equal(enumerate_below(inst, threshold),
+                                  gray_walk_solutions(inst.entries, threshold))
 
 
 @pytest.mark.parametrize("order", ["gray", "lex"])

@@ -77,6 +77,23 @@ def test_a_non_finite_batch_is_refused_naming_the_entries(alg):
         run_online_batch(make_algorithm(alg), entries, (0, 1))
 
 
+@pytest.mark.parametrize("alg", ALGORITHMS)
+@pytest.mark.parametrize("disorder", ["gaussian", "rademacher"])
+def test_run_online_does_not_recheck_an_instances_entries(alg, disorder, monkeypatch):
+    # an Instance checked its entries when built; run_online used to hand them
+    # to run_online_batch, which checked them again
+    inst = generate(3, 40, disorder, 8)
+    want = run_online(make_algorithm(alg), inst, omega=2).sigma
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("entries checked again")
+
+    monkeypatch.setattr(online, "_working_entries", refuse)
+    assert np.array_equal(run_online(make_algorithm(alg), inst, omega=2).sigma, want)
+    with pytest.raises(AssertionError, match="checked again"):
+        run_online_batch(make_algorithm(alg), inst.entries[None], (2,))
+
+
 def test_greedy_m1_bounded_walk():
     inst = generate(1, 10_000, "rademacher", 7)
     res = run_online(GreedyOnline(), inst)

@@ -273,7 +273,21 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
     ["online", "--alg", "potential", "--lambda", "inf", "--rows", "2", "--cols", "4",
      "--seeds", "0..0"],
     ["landscape", "stability", "--alg", "greedy", "--rho", "0.9", "--rows", "2",
-     "--cols", "4", "--trials", "3", "--threshold", "nan"]])
+     "--cols", "4", "--trials", "3", "--threshold", "nan"],
+    ["landscape", "stability", "--alg", "greedy", "--rho", "0.9", "--rows", "0",
+     "--cols", "8", "--threshold", "1", "--trials", "3"],
+    ["landscape", "stability", "--alg", "greedy", "--rho", "0.9", "--rows", "-2",
+     "--cols", "8", "--threshold", "1", "--trials", "3"],
+    ["theory", "expected-count", "--n", "0", "--rows", "1", "--m", "2",
+     "--hamming-delta", "0", "--K", "1"],
+    ["theory", "box-bound", "--m", "0", "--beta", "0.5", "--K", "1", "--n", "4"],
+    _BOX_BOUND + ["--K", "1", "--n", "4", "--eta", "nan"],
+    ["theory", "alpha-c", "--kappa", "10"],
+    ["theory", "alpha-c", "--kappa", "inf"],
+    ["theory", "ogp-params", "--C1", "inf", "--c2", "0.5"],
+    ["theory", "psi-sbp", "--delta", "0.1", "--m", "2", "--alpha", "inf", "--kappa", "1"],
+    ["theory", "psi-disc", "--m", "2", "--beta", "0.5", "--eta", "0.1", "--c", "0.1",
+     "--n", "inf", "--rows", "2", "--K", "1"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
