@@ -21,12 +21,12 @@ import os
 from types import SimpleNamespace
 from typing import Optional
 
-from .discrepancy import enumerate_solutions, exact_discrepancy, sign_string
+from .discrepancy import enumerate_solutions, exact_discrepancy
 from .errors import ParameterError
 from .instances import _check_dims, _check_disorder, generate
 from .online import make_algorithm, run_online
 from .philox import _is_word
-from .reports import emit_report, to_payload
+from .reports import emit_report
 
 
 def _is_int(value) -> bool:
@@ -59,14 +59,16 @@ def parse_seed_range(spec) -> list[int]:
 # the sweep kinds share.  ``params`` is the parsed arguments or a namespace of
 # a parsed sweep config; both name alg, lam, kappa, max_n where the payload
 # reads them.  The online algorithm's auxiliary seed is the instance's seed.
+# A payload holds its result's fields as they are; the writer turns the arrays
+# among them into sign strings and lists.
 
 def online_payload(params, inst) -> dict:
     res = run_online(make_algorithm(params.alg, params.lam), inst, omega=inst.seed)
-    return {"alg": params.alg, **to_payload(res)}
+    return {"alg": params.alg, **vars(res)}
 
 
 def exact_payload(params, inst) -> dict:
-    return to_payload(exact_discrepancy(inst, max_n=params.max_n))
+    return dict(vars(exact_discrepancy(inst, max_n=params.max_n)))
 
 
 def count_payload(params, inst, listed: bool = False) -> dict:
@@ -75,7 +77,7 @@ def count_payload(params, inst, listed: bool = False) -> dict:
     sols = enumerate_solutions(inst, params.kappa, max_n=params.max_n)
     payload = {"kappa": params.kappa, "count": int(sols.shape[0])}
     if listed:
-        payload["solutions"] = [sign_string(s) for s in sols]
+        payload["solutions"] = sols
     return payload
 
 
@@ -131,6 +133,9 @@ def parse_config(raw) -> dict:
             raise ParameterError(f"experiment {name} must be an integer, got {value!r}")
         if not isinstance(value, float):
             raise ParameterError(f"experiment {name} must be a number, got {value!r}")
+    if cfg.get("kappa") is not None and not 0 < cfg["kappa"] < math.inf:
+        raise ParameterError(f"experiment kappa must be positive and finite, "
+                             f"got {cfg['kappa']!r}")
     if not isinstance(cfg["out_dir"], str):
         raise ParameterError(f"experiment out_dir must be a string, got {cfg['out_dir']!r}")
     _check_dims(cfg["rows"], cfg["cols"])
@@ -140,8 +145,8 @@ def parse_config(raw) -> dict:
     if kind == "sbp-count":
         if cfg["disorder"] != "gaussian":
             raise ParameterError("sbp-count needs gaussian disorder")
-        if cfg["kappa"] is None or not cfg["kappa"] > 0:
-            raise ParameterError("sbp-count needs kappa > 0")
+        if cfg["kappa"] is None:
+            raise ParameterError("sbp-count needs kappa")
     return cfg
 
 

@@ -1,15 +1,20 @@
 """Deterministic serialization of result objects.
 
-JSON output is rendered by a small canonical writer: insertion-ordered
-fields, floats printed with 17 significant digits (exact float64
-round-trip), no locale or timestamp dependence, so byte-identical reruns
-are possible.  ``emit_report`` writes a histogram in the CSV layout
+``render_json`` is the one walk from a result to its JSON text.  It
+keeps insertion order, writes floats with 17 significant digits (exact
+float64 round-trip) and depends on no locale or timestamp, so reruns
+are byte-identical.  A dataclass is an object of its fields in
+declaration order; an int8 array is a sign vector and becomes a sign
+string, one per row when it is 2-d; any other array becomes a flat list;
+numpy scalars are their Python values.  These rules hold at any depth.
+``emit_report`` writes a histogram in the CSV layout
 ``bin_lo,bin_hi,count`` and every other result as JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from typing import Any
 
@@ -39,14 +44,13 @@ def render_json(value: Any, indent: int = 0) -> str:
             f'{inner}"{k}": {render_json(v, indent + 2)}' for k, v in value.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
+        if not value:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat and len(seq) <= 16:
-            return "[" + ", ".join(render_json(v) for v in seq) + "]"
-        items = ",\n".join(f"{inner}{render_json(v, indent + 2)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
+        items = [render_json(v, indent + 2) for v in value]
+        # a short list of scalars stays on one line; an object or array opens with { or [
+        if len(items) <= 16 and not any(s[0] in "[{" for s in items):
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if value is None:
@@ -56,43 +60,18 @@ def render_json(value: Any, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return _render_float(float(value))
     if isinstance(value, str):
-        import json
         return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.int8:
+            signs = [sign_string(row) for row in value] if value.ndim == 2 else sign_string(value)
+            return render_json(signs, indent)
+        flat = value.ravel()
+        return render_json([int(v) for v in flat] if flat.dtype.kind in "iub"
+                           else [float(v) for v in flat], indent)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return render_json({f.name: getattr(value, f.name)
+                            for f in dataclasses.fields(value)}, indent)
     raise ParameterError(f"cannot serialize value of type {type(value)!r}")
-
-
-def _listify(arr) -> list:
-    a = np.asarray(arr)
-    if a.dtype.kind in "iub":
-        return [int(v) for v in a.ravel()]
-    return [float(v) for v in a.ravel()]
-
-
-def to_payload(result: Any) -> Any:
-    """Convert a result object into JSON-ready primitives.
-
-    A dataclass becomes a dict of its fields in declaration order, each
-    converted by the same rules: int8 arrays are sign vectors and become
-    sign strings (one per row when 2-d), other arrays become flat lists,
-    dicts are copied and numpy scalars become Python scalars.
-    """
-    if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        return {f.name: to_payload(getattr(result, f.name))
-                for f in dataclasses.fields(result)}
-    if isinstance(result, np.ndarray):
-        if result.dtype == np.int8:
-            return ([sign_string(row) for row in result] if result.ndim == 2
-                    else sign_string(result))
-        return _listify(result)
-    if isinstance(result, dict):
-        return dict(result)
-    if isinstance(result, (list, tuple)):
-        return [to_payload(v) for v in result]
-    if isinstance(result, np.generic):
-        return result.item()
-    if isinstance(result, (str, int, float, bool)) or result is None:
-        return result
-    raise ParameterError(f"no serialization for {type(result)!r}")
 
 
 def histogram_csv(hist: Histogram) -> str:
@@ -108,7 +87,7 @@ def emit_report(result: Any, path=None) -> str:
     if isinstance(result, Histogram):
         text = histogram_csv(result)
     else:
-        text = render_json(to_payload(result)) + "\n"
+        text = render_json(result) + "\n"
     if path is not None:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)

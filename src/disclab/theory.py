@@ -97,8 +97,8 @@ def _member_terms(w: int, delta: float, alpha: float, kappa: float) -> dict[str,
         raise ParameterError(f"delta must lie in (0, 1/2), got {delta}")
     if not 0 < alpha < math.inf:
         raise ParameterError(f"alpha must be positive and finite, got {alpha}")
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
     return {
         "suffixes": w * delta,
         "normalization": -(alpha * w / 2.0) * _LOG2_2PI,
@@ -149,8 +149,10 @@ def psi_disc(m: int, beta: float, eta: float, c: float, n: float, M: float,
         raise ParameterError(f"need 0 < eta < beta < 1, got eta={eta}, beta={beta}")
     if m < 2:
         raise ParameterError(f"tuple size m must be >= 2, got {m}")
-    if not (0 < n < math.inf and M > 0 and K > 0):
-        raise ParameterError(f"need finite n > 0, M > 0 and K > 0, got {n}, {M}, {K}")
+    if not (0 < n < math.inf and 0 < M < math.inf and 0 < K < math.inf):
+        raise ParameterError(f"need n, M and K positive and finite, got {n}, {M}, {K}")
+    if not math.isfinite(c):
+        raise ParameterError(f"angle-grid exponent c must be finite, got {c}")
     if entropy_factor not in ("m", "m-1"):
         raise ParameterError(f"entropy_factor must be 'm' or 'm-1', got {entropy_factor!r}")
     mu = m if entropy_factor == "m" else m - 1
@@ -481,8 +483,9 @@ def berry_esseen_bound(interval_length: float, M: int,
     """
     if M < 1:
         raise ParameterError(f"M must be >= 1, got {M}")
-    if interval_length < 0:
-        raise ParameterError(f"interval length must be nonnegative, got {interval_length}")
+    if not 0 <= interval_length < math.inf:
+        raise ParameterError(f"interval length must be finite and nonnegative, "
+                             f"got {interval_length}")
     if p is None:
         return 3.0 * interval_length / math.sqrt(M)
     if not 0.0 < p < 1.0:
@@ -503,8 +506,8 @@ def expected_xi_count(n: int, M: int, k: int, m: int, kappa: float) -> float:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if m < 1 or M < 1:
         raise ParameterError(f"need m >= 1 and M >= 1, got m={m}, M={M}")
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
     rho = 1.0 - k / n
     p_box = equicorrelated_box_probability(m, rho, kappa)
     log2_count = n + k * (m - 1)
@@ -584,8 +587,8 @@ def stable_constants(eta: float, L: float, m: int) -> StableConstants:
     """C = eta^2/1600, Q = 4800 L pi / eta^2, log2 log2 T = 4 m Q log2 Q."""
     if not 0.0 < eta < 1.0:
         raise ParameterError(f"eta must lie in (0,1), got {eta}")
-    if not L > 0:
-        raise ParameterError(f"L must be positive, got {L}")
+    if not 0 < L < math.inf:
+        raise ParameterError(f"L must be positive and finite, got {L}")
     if m < 2:
         raise ParameterError(f"m must be >= 2, got {m}")
     C = eta * eta / 1600.0

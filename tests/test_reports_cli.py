@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from disclab import (ParameterError, exact_discrepancy, generate,
@@ -13,7 +15,7 @@ from disclab import (ParameterError, exact_discrepancy, generate,
 import disclab
 from disclab.cli import build_parser, main
 from disclab.experiment import parse_config, parse_seed_range, run_experiment
-from disclab.reports import emit_report, histogram_csv, render_json, to_payload
+from disclab.reports import emit_report, histogram_csv, render_json
 
 
 def _roundtrip_equal(a, b):
@@ -38,9 +40,38 @@ def test_render_json_nonfinite():
     assert back["x"] == float("inf") and math.isnan(back["y"])
 
 
+@dataclasses.dataclass
+class _Holder:
+    x: object
+
+
+# value -> what the writer makes of it, at any depth
+_WALK_CASES = {
+    "int8-1d": (np.array([1, -1, 1], np.int8), "+-+"),
+    "int8-2d": (np.array([[1, -1], [-1, -1]], np.int8), ["+-", "--"]),
+    "bool-array": (np.array([True, False, True]), [1, 0, 1]),
+    "int64-array": (np.array([[3, -4], [5, 2**40]], np.int64), [3, -4, 5, 2**40]),
+    "float-array": (np.array([0.1, -2.5, 1e300]), [0.1, -2.5, 1e300]),
+    "numpy-int": (np.int16(-3), -3),
+    "numpy-float": (np.float32(0.1), float(np.float32(0.1))),
+    "numpy-bool": (np.bool_(True), True),
+    "dataclass": (_Holder(np.array([-1, 1], np.int8)), {"x": "-+"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def test_render_json_walks_arrays_and_dataclasses_at_any_depth(case):
+    value, expected = _WALK_CASES[case]
+    as_field = render_json(_Holder(value))
+    assert render_json({"x": value}) == as_field == render_json({"x": expected})
+    in_list = render_json(_Holder([value, value]))
+    assert render_json({"x": [value, value]}) == in_list == render_json({"x": [expected] * 2})
+    assert json.loads(in_list) == {"x": [expected] * 2}
+
+
 def test_discrepancy_result_payload_shape():
     res = exact_discrepancy(generate(2, 6, "rademacher", 4))
-    payload = to_payload(res)
+    payload = json.loads(render_json(res))
     assert list(payload.keys()) == ["value", "argmin", "row_sums"]
     assert isinstance(payload["argmin"], str)
     assert set(payload["argmin"]) <= {"+", "-"}
@@ -287,7 +318,16 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
     ["theory", "ogp-params", "--C1", "inf", "--c2", "0.5"],
     ["theory", "psi-sbp", "--delta", "0.1", "--m", "2", "--alpha", "inf", "--kappa", "1"],
     ["theory", "psi-disc", "--m", "2", "--beta", "0.5", "--eta", "0.1", "--c", "0.1",
-     "--n", "inf", "--rows", "2", "--K", "1"]])
+     "--n", "inf", "--rows", "2", "--K", "1"],
+    ["theory", "psi-disc", "--m", "2", "--beta", "0.5", "--eta", "0.1", "--c", "0.1",
+     "--n", "100", "--rows", "2", "--K", "inf"],
+    ["theory", "psi-disc", "--m", "2", "--beta", "0.5", "--eta", "0.1", "--c", "inf",
+     "--n", "100", "--rows", "2", "--K", "1"],
+    ["theory", "psi-sbp", "--delta", "0.1", "--m", "2", "--alpha", "1", "--kappa", "inf"],
+    ["theory", "stable-constants", "--eta", "0.5", "--L", "inf", "--m", "2"],
+    ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2", "--k", "4",
+     "--kappa", "inf"],
+    ["theory", "be-bound", "--length", "inf", "--rows", "4"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -456,6 +496,10 @@ BAD_CONFIGS = {
     "online-with-max-n": json.dumps({**_ONLINE_CONFIG, "max_n": 3}),
     "random-with-lam": json.dumps({**_ONLINE_CONFIG, "alg": "random", "lam": 0.5}),
     "potential-negative-lam": json.dumps({**_ONLINE_CONFIG, "alg": "potential", "lam": -1}),
+    "online-nan-kappa": json.dumps({**_ONLINE_CONFIG, "kappa": math.nan}),
+    "online-negative-kappa": json.dumps({**_ONLINE_CONFIG, "kappa": -1.0}),
+    "sbp-count-infinite-kappa": json.dumps({**_GOOD_CONFIG, "kind": "sbp-count",
+                                            "kappa": math.inf}),
 }
 
 
@@ -494,6 +538,14 @@ def test_readme_cli_examples_parse():
     for argv in examples:
         args = build_parser().parse_args(argv)
         assert callable(args.task), argv
+
+
+def test_readme_module_table_names_every_module():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = readme.split("## What is in the box", 1)[1].split("\n## ", 1)[0]
+    modules = sorted(name[:-3] for name in os.listdir(os.path.dirname(disclab.__file__))
+                     if name.endswith(".py") and name != "__init__.py")
+    assert [m for m in modules if f"`disclab.{m}`" not in table] == []
 
 
 def test_readme_sweep_config_parses():
