@@ -7,7 +7,9 @@ supplies the default output directory for experiment sweeps.
 
 The subparsers are the task table: each leaf sets its ``task`` with
 ``set_defaults``, and ``main`` emits what the task returns; a task that
-returns None wrote its own output.
+returns None wrote its own output.  ``main`` prints a ``ParameterError``,
+a ``CapacityError`` or an output path it cannot write as one ``error:``
+line and returns 2.
 """
 
 from __future__ import annotations
@@ -355,6 +357,10 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
     except (ParameterError, CapacityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:      # a failed read is a ParameterError, so this is a write
+        sys.stderr.write(f"error: cannot write {exc.filename or 'output'}: "
+                         f"{exc.strerror or exc}\n")
         return 2
     return 0
 

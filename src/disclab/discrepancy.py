@@ -409,8 +409,8 @@ def sbp_membership(inst: Instance, sigma, kappa: float) -> bool:
     if inst.disorder != "gaussian":
         raise UnsupportedDisorderError(
             f"perceptron membership is defined for gaussian disorder, got {inst.disorder!r}")
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
     res = disc_value(inst, sigma)
     return bool(res.value <= kappa * np.sqrt(inst.cols))
 
@@ -418,6 +418,6 @@ def sbp_membership(inst: Instance, sigma, kappa: float) -> bool:
 def enumerate_solutions(inst: Instance, kappa: float,
                         max_n: Optional[int] = None) -> np.ndarray:
     """The full solution set {sigma : ||M sigma||_inf <= kappa sqrt(n)}."""
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
     return enumerate_below(inst, kappa * np.sqrt(inst.cols), max_n=max_n)

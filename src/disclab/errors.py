@@ -18,4 +18,4 @@ class UnsupportedDisorderError(ParameterError):
 
 
 class ContractViolationError(RuntimeError):
-    """An online step function broke its interface contract."""
+    """An online algorithm broke its interface contract."""

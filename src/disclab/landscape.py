@@ -240,8 +240,8 @@ def search_xi_sbp(members: Sequence[Instance], k: int, kappa: float,
     """
     if members[0].disorder != "gaussian":
         raise UnsupportedDisorderError("perceptron tuple search needs gaussian disorder")
-    if not kappa > 0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
     return _shared_prefix_certificate(members, k, kappa * math.sqrt(members[0].cols), max_n)
 
 
@@ -253,8 +253,8 @@ def search_xi_disc(members: Sequence[Instance], k: int, c_u: float,
     ``search_xi_sbp``."""
     if members[0].disorder == "gaussian":
         raise UnsupportedDisorderError("discrepancy tuple search needs integer disorder")
-    if not c_u > 0:
-        raise ParameterError(f"c_u must be positive, got {c_u}")
+    if not 0 < c_u < math.inf:
+        raise ParameterError(f"c_u must be positive and finite, got {c_u}")
     return _shared_prefix_certificate(members, k, c_u * math.sqrt(members[0].rows), max_n)
 
 
@@ -281,8 +281,8 @@ class OgpWindow:
             raise ParameterError(f"eta must lie in (0, beta), got {self.eta}")
         if self.m < 2:
             raise ParameterError(f"tuple size m must be >= 2, got {self.m}")
-        if not self.bound > 0:
-            raise ParameterError(f"bound must be positive, got {self.bound}")
+        if not 0 < self.bound < math.inf:
+            raise ParameterError(f"bound must be positive and finite, got {self.bound}")
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -303,7 +303,8 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
     overlaps all land in the window.
 
     ``window`` is an OgpWindow, or a raw (lo, hi, bound, m) tuple for
-    degenerate windows outside the OgpWindow invariants.  Each member's
+    degenerate windows outside the OgpWindow invariants (its bound, too,
+    must be positive and finite).  Each member's
     candidate set is the union over the angle grid of its solution sets;
     the recorded angle is the first witness in grid order.
     """
@@ -314,6 +315,8 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
     else:
         lo, hi, threshold, m = window
         threshold = float(threshold)
+        if not 0 < threshold < math.inf:
+            raise ParameterError(f"threshold must be positive and finite, got {threshold}")
     if len(fresh) != m:
         raise ParameterError(f"need {m} fresh instances, got {len(fresh)}")
     if len(angles) == 0:

@@ -5,15 +5,17 @@ An online algorithm assigns the sign of coordinate t after seeing columns
 side and is the only loop that feeds columns; ``run_online`` is its case
 B = 1.  ``alg.start(rows, omegas)`` gets the row count M and one auxiliary
 seed per instance and returns the scratch state.  An algorithm follows
-one of three protocols, looked up in this order:
+one of two protocols, looked up in this order:
 
-Block protocol.  An algorithm whose sign t depends only on its scratch
-state, t and column t defines ``alg.sign_block(scratch, t0, columns)``: it
-gets a block's contiguous read-only (k, B, M) columns t0..t0+k-1 and
-returns the (k, B) signs, and the harness keeps no running sums.  The
-signer sees the whole block, so that sign t reads column t only is a
+Block protocol.  An algorithm that keeps what it needs in its scratch
+state defines ``alg.sign_block(scratch, t0, columns)``: it gets a block's
+read-only (k, B, M) columns t0..t0+k-1, each (M,) column contiguous, and
+returns the (k, B) signs; the harness keeps no running sums.  The signer
+sees the whole block, so that sign t reads columns 1..t only is a
 contract, not a structural guarantee; the prefix tests, run across block
-boundaries, check it.
+boundaries, check it.  Any online rule fits this protocol: a signer that
+keeps its own running sums in its scratch state can walk its block
+column by column.
 
 Score protocol.  An algorithm that picks the sign minimizing a score of
 the updated sums defines ``alg.score(scratch, candidates)``: it gets the
@@ -25,27 +27,23 @@ column block, before any of its columns, the harness scores the widest
 sums the block can reach (the row l1 norms so far, widened by the rounding
 of a float sum); a score that overflows float64 or is NaN there, such as
 potential's at a lambda too large for the entries, raises
-``ParameterError``.
+``ParameterError``.  An algorithm with neither method raises
+``ContractViolationError``.
 
-Step protocol.  Any other algorithm defines ``alg.step(scratch,
-partial_sums, column)``.  It is called for each column t in order, with
-read-only (B, M) views of the running signed sums and of column t, and
-returns B signs or one scalar sign that broadcasts.  Steps reduce over
-axis -1, so a (M,) call is the single-instance case.  A score algorithm's
-``step`` is derived from its ``score`` by ``_ScoreSteps``.
+One loop serves both protocols.  It copies each column block once into
+the first half of a (k, 2, B, M) +-column buffer; a block signer gets that
+half.  For a score algorithm the loop negates it into the second half, and
+per column one add writes both candidates into a (2, B, M) buffer, and the
+chosen row becomes the running sums, bit for bit ``partial + s * column``:
+at B = 1 the loop alternates two buffers and copies nothing, at B > 1 a
+masked copy selects the row.  Column t+1 has not been handed over when
+sign t is decided, so a score algorithm reads columns 1..t only by
+construction.
 
-The per-column loop serves score and step algorithms alike.  It builds
-each block's exact (k, 2, B, M) +-column pairs once; per column one add
-writes both candidates into a (2, B, M) buffer, and the chosen row becomes
-the running sums, bit for bit ``partial + s * column``: at B = 1 the loop
-alternates two buffers and copies nothing, at B > 1 a masked copy selects
-the row.  Column t+1 has not been handed over when sign t is decided, so
-score and step algorithms read columns 1..t only by construction.
-
-Every sign must be exactly -1 or +1.  Raw step and block outputs are kept
-in a float64 buffer, which cannot truncate 1.5 to 1, and checked once per
-run; an output of the wrong shape or type fails at once.  Either way the
-``ContractViolationError`` names the algorithm and the step.
+Every sign must be exactly -1 or +1.  A block signer's raw outputs are
+kept in a float64 record, which cannot truncate 1.5 to 1, and checked
+once per run; an output of the wrong shape or type fails at once.  Either
+way the ``ContractViolationError`` names the algorithm and the step.
 
 Shipped algorithms:
 
@@ -75,13 +73,12 @@ _LOG2 = float(np.log(2.0))
 _RANDOM_TAG = 3
 # A column block holds at most _COLUMN_BLOCK entries and _BLOCK_COLUMNS
 # instance columns (the column loop's +-column pairs twice that).  A strided
-# column view makes every ufunc of a step about twice as slow at B = 1.  The
+# column view makes every ufunc of a score about twice as slow at B = 1.  The
 # column cap bounds a block signer's temporaries: random keeps about 100
 # bytes per instance column.
 _COLUMN_BLOCK = 1 << 13
 _BLOCK_COLUMNS = 1 << 9
-_PLUS_MINUS = np.array([-1, 1])
-_SIGN_BYTES = _PLUS_MINUS.astype(np.int8)
+_SIGN_BYTES = np.array([-1, 1], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -96,20 +93,7 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(a), -1)
 
 
-def _signs_of(plus_wins: np.ndarray) -> np.ndarray:
-    # +1 where True, -1 elsewhere; a take is cheaper than np.where here
-    return _PLUS_MINUS.take(plus_wins)
-
-
-class _ScoreSteps:
-    """The ``step`` of a score algorithm, for callers that feed one column."""
-
-    def step(self, scratch, partial_sums, column):
-        scores = self.score(scratch, np.array((partial_sums + column, partial_sums - column)))
-        return _signs_of(scores[0] <= scores[1])
-
-
-class GreedyOnline(_ScoreSteps):
+class GreedyOnline:
     """Sign minimizing ||partial + s * column||_inf; ties -> +1."""
 
     name = "greedy"
@@ -121,7 +105,7 @@ class GreedyOnline(_ScoreSteps):
         return _max_abs(candidates)
 
 
-class PotentialOnline(_ScoreSteps):
+class PotentialOnline:
     """Sign minimizing Phi(w) = sum_i cosh(lambda * w_i); ties -> +1.
 
     With lam=None the scale defaults to 1/sqrt(M) at run start.  Phi is
@@ -142,7 +126,7 @@ class PotentialOnline(_ScoreSteps):
 
     def score(self, lam, candidates):
         # a and -a stacked, so one exp serves both; max(a, -a) is |a| up to
-        # the sign of a zero, which no later step can see
+        # the sign of a zero, which no later score can see
         e = np.empty((2,) + candidates.shape)
         np.multiply(candidates, lam, out=e[0])
         np.negative(e[0], out=e[1])
@@ -196,16 +180,6 @@ def make_algorithm(name: str, lam: float | None = None):
     return GreedyOnline() if name == "greedy" else RandomSigningOnline()
 
 
-def _check_steps(alg, steps: np.ndarray) -> None:
-    """Reject any raw step output (n, B) that is not exactly -1 or +1."""
-    bad = np.abs(steps) != 1
-    if bad.any():
-        t, i = np.argwhere(bad)[0]
-        raise ContractViolationError(
-            f"online step returned {float(steps[t, i])!r}, expected -1 or +1 "
-            f"(algorithm {alg.name!r}, step {t}, batch row {i})")
-
-
 def _block_width(b: int, m: int) -> int:
     """Columns per block for B instances of M rows (the last may be shorter)."""
     return max(1, min(_COLUMN_BLOCK // max(1, b * m), _BLOCK_COLUMNS // max(1, b)))
@@ -227,39 +201,21 @@ def _check_reach(alg, scratch, widest: np.ndarray, t: int) -> None:
             f"overflow float64 on these entries")
 
 
-def _block_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
-    """(n, B) raw outputs of a block algorithm, one ``sign_block`` call per block."""
-    b, m, n = work.shape
-    per = max(1, min(n, _block_width(b, m)))
-    steps = np.empty((n, b), dtype=np.float64)
-    block = np.empty((per, b, m), dtype=work.dtype)
-    block_view = block.view()              # what algorithms see is read-only
-    block_view.setflags(write=False)
-    for t0 in range(0, n, per):
-        k = min(per, n - t0)
-        np.copyto(block[:k], work[:, :, t0:t0 + k].transpose(2, 0, 1))
-        s = alg.sign_block(scratch, t0, block_view[:k])
-        try:
-            if np.shape(s) != (k, b):
-                raise ValueError(f"shape {np.shape(s)}")
-            steps[t0:t0 + k] = s
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ContractViolationError(
-                f"online sign_block returned {exc}, expected a ({k}, {b}) array of -1 "
-                f"and +1 (algorithm {alg.name!r}, step {t0})") from exc
-    return steps
-
-
 def _column_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
-    """(n, B) record of a score or step algorithm, True where sign t is +1;
-    the one per-column loop (see the module docstring)."""
+    """(B, n) int8 signs of ``alg`` on ``work``: the one column loop (see
+    the module docstring)."""
     b, m, n = work.shape
+    sign_block = getattr(alg, "sign_block", None)
+    score = None if sign_block else getattr(alg, "score", None)
+    if not (sign_block or score):
+        raise ContractViolationError(
+            f"online algorithm {alg.name!r} defines neither sign_block (block protocol) "
+            f"nor score (score protocol)")
     per = max(1, min(n, _block_width(b, m)))
-    score = getattr(alg, "score", None)
-    step = None if score else alg.step
     pairs = np.empty((per, 2, b, m), dtype=work.dtype)      # a block's +-columns
-    pairs_view = pairs.view()
+    pairs_view = pairs.view()               # what algorithms see is read-only
     pairs_view.setflags(write=False)
+    raw = np.empty((n, b)) if sign_block else None      # a block signer's outputs
     bufs = np.zeros((2, 2, b, m), dtype=work.dtype)         # two candidate buffers
     bufs_view = bufs.view()
     bufs_view.setflags(write=False)
@@ -268,7 +224,6 @@ def _column_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
     selects = tuple((o[1], o[0]) for o in outs)
     plus = np.empty((n, b), dtype=bool)
     plus_cols = plus[:, :, None]
-    raw = None if score else np.empty((n, b), dtype=np.float64)
     # float64 bound on every |partial +- column| of the columns fed so far:
     # the row l1 norms, widened for the rounding of a sum of n float terms
     reach = np.zeros((b, m))
@@ -282,38 +237,42 @@ def _column_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
         k = min(per, n - t0)
         plus_block, minus_block = pairs[:k, 0], pairs[:k, 1]
         np.copyto(plus_block, work[:, :, t0:t0 + k].transpose(2, 0, 1))
-        if score:
-            reach += np.add.reduce(np.abs(plus_block, out=minus_block), 0, np.float64)
-            np.multiply(reach, widen, out=widest)
-            _check_reach(alg, scratch, widest_view, t0)
+        if sign_block:
+            s = sign_block(scratch, t0, pairs_view[:k, 0])
+            try:
+                if np.shape(s) != (k, b):
+                    raise ValueError(f"shape {np.shape(s)}")
+                raw[t0:t0 + k] = s
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ContractViolationError(
+                    f"online sign_block returned {exc}, expected a ({k}, {b}) array of -1 "
+                    f"and +1 (algorithm {alg.name!r}, step {t0})") from exc
+            continue
+        reach += np.add.reduce(np.abs(plus_block, out=minus_block), 0, np.float64)
+        np.multiply(reach, widen, out=widest)
+        _check_reach(alg, scratch, widest_view, t0)
         np.negative(plus_block, out=minus_block)
         for t, pair in enumerate(pairs_view[:k], t0):
             np.add(partial, pair, out=outs[i])
-            if score:
-                s = score(scratch, cands[i])
-                if b == 1:
-                    plus[t, 0] = s[0, 0] <= s[1, 0]
-                else:
-                    np.less_equal(s[0], s[1], out=plus[t])
-            else:
-                s = step(scratch, partial, pair[0])
-                try:
-                    raw[t] = s
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ContractViolationError(
-                        f"online step returned {s!r}, expected -1 or +1 for each of {b} "
-                        f"instances (algorithm {alg.name!r}, step {t})") from exc
-                np.greater(raw[t], 0, out=plus[t])
+            s = score(scratch, cands[i])
             if b == 1:
-                partial = rows[i][0 if plus[t, 0] else 1]
+                won = plus[t, 0] = s[0, 0] <= s[1, 0]
+                partial = rows[i][0 if won else 1]
             else:
+                np.less_equal(s[0], s[1], out=plus[t])
                 dst, src = selects[i]
                 np.copyto(dst, src, where=plus_cols[t])
                 partial = rows[i][1]
             i ^= 1
-    if raw is not None:
-        _check_steps(alg, raw)
-    return plus
+    if score:
+        return _SIGN_BYTES.take(plus.T)
+    bad = np.abs(raw) != 1
+    if bad.any():
+        t, i = np.argwhere(bad)[0]
+        raise ContractViolationError(
+            f"online sign_block returned {float(raw[t, i])!r}, expected -1 or +1 "
+            f"(algorithm {alg.name!r}, step {t}, batch row {i})")
+    return np.ascontiguousarray(raw.T, dtype=np.int8)
 
 
 def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
@@ -338,13 +297,7 @@ def _run_columns(alg, work: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]
     b, m, n = work.shape
     if len(omegas) != b:
         raise ParameterError(f"need one omega per instance: {len(omegas)} for {b}")
-    scratch = alg.start(m, omegas)
-    if getattr(alg, "sign_block", None):
-        steps = _block_signs(alg, scratch, work)
-        _check_steps(alg, steps)
-        sigma = np.ascontiguousarray(steps.T, dtype=np.int8)
-    else:
-        sigma = _SIGN_BYTES.take(_column_signs(alg, scratch, work).T)
+    sigma = _column_signs(alg, alg.start(m, omegas), work)
     sums = np.empty((b, m), dtype=work.dtype)
     for i in range(b):
         sums[i] = work[i] @ sigma[i].astype(work.dtype)

@@ -273,6 +273,22 @@ def test_enumerate_solutions_extremes():
     assert enumerate_solutions(inst, huge).shape[0] == 2 ** 8
 
 
+@pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.0, -1.0])
+def test_a_kappa_outside_zero_to_infinity_is_refused(kappa):
+    # an infinite kappa used to count all 2^n vectors
+    inst = generate(2, 8, "gaussian", 1)
+    with pytest.raises(ParameterError, match="kappa must be positive and finite"):
+        enumerate_solutions(inst, kappa)
+    with pytest.raises(ParameterError, match="kappa must be positive and finite"):
+        sbp_membership(inst, np.ones(8, dtype=np.int8), kappa)
+
+
+def test_enumerate_below_takes_any_threshold():
+    inst = generate(2, 8, "gaussian", 1)
+    assert enumerate_below(inst, math.inf).shape == (2 ** 8, 8)
+    assert enumerate_below(inst, -1.0).shape == (0, 8)
+
+
 def test_enumerate_matches_naive_count_and_set():
     inst = generate(3, 12, "gaussian", 2024)
     sols = enumerate_solutions(inst, 1.0)

@@ -301,6 +301,23 @@ def test_ogp_window_type_and_validation():
                           [0.0], w)
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -2.0])
+def test_tuple_searches_refuse_a_threshold_outside_zero_to_infinity(x):
+    # an infinite threshold used to give a certificate with "threshold": Infinity
+    gauss = resample_suffix(generate(2, 8, "gaussian", 1), 2, 2, [5])
+    rad = resample_suffix(generate(2, 8, "rademacher", 1), 2, 2, [5])
+    base = generate(2, 6, "gaussian", 1)
+    fresh = [generate(2, 6, "gaussian", s) for s in (2, 3)]
+    with pytest.raises(ParameterError, match="kappa must be positive and finite"):
+        search_xi_sbp(gauss, 2, x)
+    with pytest.raises(ParameterError, match="c_u must be positive and finite"):
+        search_xi_disc(rad, 2, x)
+    with pytest.raises(ParameterError, match="bound must be positive and finite"):
+        OgpWindow(beta=0.5, eta=0.2, bound=x, m=2)
+    with pytest.raises(ParameterError, match="threshold must be positive and finite"):
+        search_ogp_tuples(base, fresh, [0.0], (0.0, 1.0, x, 2))
+
+
 # -- stability probe ----------------------------------------------------------
 
 def test_stability_deterministic_identical_inputs():

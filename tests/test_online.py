@@ -15,19 +15,42 @@ from disclab.online import _block_width
 from oracles import online_signs, potential_sign, random_signs
 
 
-class ConstantPlus:
-    name = "constant"
+class BlockReturns:
+    """A block signer returning ``make(t0, k, b)`` for the block at t0."""
 
-    def start(self, rows, omega=0):
-        return None
+    name = "block-returns"
 
-    def step(self, scratch, partial_sums, column):
-        return 1
+    def __init__(self, make):
+        self.make = make
+
+    def start(self, rows, omegas=(0,)):
+        return len(omegas)
+
+    def sign_block(self, scratch, t0, columns):
+        return self.make(t0, len(columns), scratch)
+
+
+def returns_at(value, bad_step, bad_row=0):
+    """A block signer returning +1 except ``value`` at step ``bad_step`` in
+    batch row ``bad_row``."""
+    def make(t0, k, b):
+        out = np.ones((k, b))
+        if t0 <= bad_step < t0 + k:
+            out[bad_step - t0, bad_row] = value
+        return out
+    return BlockReturns(make)
+
+
+def score_signs(alg, scratch, partial, column):
+    """The harness's rule on one column: +1 where the score of partial +
+    column is at most the score of partial - column."""
+    scores = alg.score(scratch, np.array((partial + column, partial - column)))
+    return np.where(scores[0] <= scores[1], 1, -1)
 
 
 def test_constant_algorithm_all_ones():
     inst = generate(3, 20, "gaussian", 1)
-    res = run_online(ConstantPlus(), inst)
+    res = run_online(BlockReturns(lambda t0, k, b: np.ones((k, b))), inst)
     assert np.all(res.sigma == 1)
     assert np.allclose(res.row_sums, inst.entries.sum(axis=1))
 
@@ -41,8 +64,8 @@ def test_greedy_hand_trace():
 
 def test_greedy_step_rules():
     g = GreedyOnline()
-    assert g.step(None, np.zeros(2), np.array([1.0, 0.0])) == 1      # tie -> +1
-    assert g.step(None, np.array([5.0, 0.0]), np.array([1.0, 0.0])) == -1
+    assert score_signs(g, None, np.zeros(2), np.array([1.0, 0.0])) == 1      # tie -> +1
+    assert score_signs(g, None, np.array([5.0, 0.0]), np.array([1.0, 0.0])) == -1
 
 
 def test_greedy_decides_integer_instances_on_exact_int64_norms():
@@ -103,7 +126,7 @@ def test_greedy_m1_bounded_walk():
 
 def test_potential_tie_and_m1_equivalence():
     pot = PotentialOnline(0.9)
-    assert pot.step(0.9, np.zeros(3), np.array([1.0, -2.0, 0.5])) == 1
+    assert score_signs(pot, 0.9, np.zeros(3), np.array([1.0, -2.0, 0.5])) == 1
     for seed in (3, 4, 5):
         inst = generate(1, 400, "gaussian", seed)
         assert np.array_equal(run_online(pot, inst).sigma,
@@ -122,7 +145,7 @@ def test_potential_batched_decisions_match_single_formula():
             column[:4] = 0.0                          # exact ties, both ways
             partial[4:8] = 0.0
             lam = pot.start(m, [0] * b)
-            got = pot.step(lam, partial, column)
+            got = score_signs(pot, lam, partial, column)
             want = [potential_sign(lam, partial[i], column[i]) for i in range(b)]
             assert np.array_equal(got, want), (m, scale)
 
@@ -173,66 +196,45 @@ def test_online_determinism():
 
 
 def test_contract_violation():
-    class Bad:
-        name = "bad"
-
-        def start(self, rows, omega=0):
-            return None
-
-        def step(self, scratch, partial, column):
-            return 2
-
     with pytest.raises(ContractViolationError):
-        run_online(Bad(), generate(2, 4, "gaussian", 1))
-
-
-class ReturnsAt:
-    """Returns +1 except ``value`` at step ``bad_step`` in batch row ``bad_row``."""
-
-    name = "returns-at"
-
-    def __init__(self, value, bad_step, bad_row=0):
-        self.value, self.bad_step, self.bad_row = value, bad_step, bad_row
-
-    def start(self, rows, omegas=(0,)):
-        return {"t": 0, "rows": len(omegas)}
-
-    def step(self, scratch, partial, column):
-        t = scratch["t"]
-        scratch["t"] = t + 1
-        out = [1] * scratch["rows"]
-        if t == self.bad_step:
-            out[self.bad_row] = self.value
-        return out
+        run_online(BlockReturns(lambda t0, k, b: np.full((k, b), 2)),
+                   generate(2, 4, "gaussian", 1))
 
 
 @pytest.mark.parametrize("value", [1.5, 0, 2, -1.5, float("nan")])
 def test_contract_violation_names_step(value):
     with pytest.raises(ContractViolationError, match=r"step 3\b"):
-        run_online(ReturnsAt(value, 3), generate(2, 8, "rademacher", 1))
+        run_online(returns_at(value, 3), generate(2, 8, "rademacher", 1))
 
 
 def test_contract_violation_one_row_of_batch():
     entries = generate_batch(3, 10, "gaussian", np.arange(4))
     with pytest.raises(ContractViolationError, match=r"step 6, batch row 2\b"):
-        run_online_batch(ReturnsAt(2, 6, bad_row=2), entries, np.arange(4))
-    signs, _ = run_online_batch(ReturnsAt(-1, 6, bad_row=2), entries, np.arange(4))
+        run_online_batch(returns_at(2, 6, bad_row=2), entries, np.arange(4))
+    signs, _ = run_online_batch(returns_at(-1, 6, bad_row=2), entries, np.arange(4))
     assert signs[2, 6] == -1 and np.count_nonzero(signs == -1) == 1
 
 
 def test_contract_violation_wrong_shape():
-    class TwoSigns:
-        name = "two"
+    # one sign per block column where one per instance is due
+    with pytest.raises(ContractViolationError, match=r"step 0\b"):
+        run_online_batch(BlockReturns(lambda t0, k, b: np.ones((k, 2))),
+                         generate_batch(2, 5, "gaussian", np.arange(3)), np.arange(3))
+
+
+def test_an_algorithm_with_neither_protocol_is_refused():
+    class StepOnly:
+        name = "step-only"
 
         def start(self, rows, omegas=(0,)):
             return None
 
-        def step(self, scratch, partial, column):
-            return [1, 1]
+        def step(self, scratch, partial, column):      # no longer a protocol
+            return 1
 
-    with pytest.raises(ContractViolationError, match=r"step 0\b"):
-        run_online_batch(TwoSigns(), generate_batch(2, 5, "gaussian", np.arange(3)),
-                         np.arange(3))
+    with pytest.raises(ContractViolationError,
+                       match=r"'step-only' defines neither sign_block .* nor score"):
+        run_online(StepOnly(), generate(2, 4, "gaussian", 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,7 +257,7 @@ def test_batch_harness_equals_single_runs(b, m, n, disorder, alg, seed):
         assert np.array_equal(sums[i], entries[i] @ signs[i].astype(entries.dtype))
 
 
-@pytest.mark.parametrize("target", ["partial", "column", "candidates"])
+@pytest.mark.parametrize("target", ["column", "candidates"])
 def test_steps_see_read_only_inputs(target):
     class Writer:
         name = "writer"
@@ -263,11 +265,16 @@ def test_steps_see_read_only_inputs(target):
         def start(self, rows, omegas=(0,)):
             return None
 
-        def step(self, scratch, partial, column):
-            (partial if target == "partial" else column)[...] = 0
-            return 1
+        def sign_block(self, scratch, t0, columns):
+            columns[...] = 0
+            return np.ones(columns.shape[:-1])
 
-    class ScoreWriter(Writer):
+    class ScoreWriter:
+        name = "score-writer"
+
+        def start(self, rows, omegas=(0,)):
+            return None
+
         def score(self, scratch, candidates):
             candidates[...] = 0
             return np.zeros(candidates.shape[:-1])
@@ -276,6 +283,23 @@ def test_steps_see_read_only_inputs(target):
     with pytest.raises(ValueError, match="read-only"):
         run_online_batch(ScoreWriter() if target == "candidates" else Writer(), entries,
                          np.arange(3))
+
+
+def test_block_signer_sees_read_only_columns_on_every_call(monkeypatch):
+    monkeypatch.setattr(online, "_BLOCK_COLUMNS", 4)        # two columns per block
+    seen = []
+
+    class Spy(RandomSigningOnline):
+        def sign_block(self, seeds, t0, columns):
+            seen.append((t0, columns.shape, columns.flags.writeable,
+                         columns.strides[-1] == columns.itemsize))
+            return super().sign_block(seeds, t0, columns)
+
+    entries = np.array(generate_batch(3, 9, "gaussian", np.arange(2)))   # writable
+    run_online_batch(Spy(), entries, np.arange(2))
+    # each (M,) column is contiguous, and the last block is ragged
+    assert seen == [(t0, (2, 2, 3), False, True) for t0 in (0, 2, 4, 6)] + [
+        (8, (1, 2, 3), False, True)]
 
 
 def test_scores_see_read_only_candidates_on_every_call():
@@ -430,32 +454,47 @@ def test_prefix_property_across_column_blocks(alg):
             assert np.array_equal(ra.sigma[:t], rb.sigma[:t]), t
 
 
-class BlockReturns:
-    """A block signer returning ``make(t0, k, b)`` for the block at t0."""
-
-    name = "block-returns"
-
-    def __init__(self, make):
-        self.make = make
-
-    def start(self, rows, omegas=(0,)):
-        return len(omegas)
-
-    def sign_block(self, scratch, t0, columns):
-        return self.make(t0, len(columns), scratch)
-
-
 def test_block_contract_violation_names_step():
-    def make(t0, k, b):
-        out = np.ones((k, b))
-        if t0 <= 3 < t0 + k:
-            out[3 - t0, 1] = 1.5
-        return out
-
     with pytest.raises(ContractViolationError,
                        match=r"'block-returns', step 3, batch row 1\b"):
-        run_online_batch(BlockReturns(make), generate_batch(2, 8, "gaussian", np.arange(2)),
-                         np.arange(2))
+        run_online_batch(returns_at(1.5, 3, bad_row=1),
+                         generate_batch(2, 8, "gaussian", np.arange(2)), np.arange(2))
+
+
+class RunningGreedy:
+    """Greedy as a block signer that keeps its own running sums in its
+    scratch state and walks each block column by column."""
+
+    name = "running-greedy"
+
+    def start(self, rows, omegas=(0,)):
+        return {}
+
+    def sign_block(self, state, t0, columns):
+        k, b, m = columns.shape
+        partial = state.get("partial", np.zeros((b, m), columns.dtype))
+        signs = np.empty((k, b))
+        for j, column in enumerate(columns):
+            plus, minus = partial + column, partial - column
+            won = np.abs(plus).max(-1) <= np.abs(minus).max(-1)      # ties -> +1
+            signs[j] = np.where(won, 1, -1)
+            partial = np.where(won[:, None], plus, minus)
+        state["partial"] = partial
+        return signs
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("disorder", ["gaussian", "rademacher"])      # float64, int64
+def test_a_stateful_block_signer_reproduces_greedy_across_blocks(b, disorder):
+    # any online rule is a block signer with state: dropping the per-column
+    # step protocol loses none
+    m = 4
+    n = 2 * _block_width(b, m) + 5            # two full column blocks and a ragged one
+    entries = generate_batch(m, n, disorder, np.arange(b) + 90)
+    signs, sums = run_online_batch(RunningGreedy(), entries, np.arange(b))
+    want, want_sums = run_greedy_batch(entries)
+    assert np.array_equal(signs, want)
+    assert np.array_equal(sums, want_sums)
 
 
 def test_block_contract_violation_wrong_shape():

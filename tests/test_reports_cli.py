@@ -327,7 +327,15 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
     ["theory", "stable-constants", "--eta", "0.5", "--L", "inf", "--m", "2"],
     ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2", "--k", "4",
      "--kappa", "inf"],
-    ["theory", "be-bound", "--length", "inf", "--rows", "4"]])
+    ["theory", "be-bound", "--length", "inf", "--rows", "4"],
+    ["sbp", "--rows", "2", "--cols", "8", "--kappa", "inf"],
+    ["sbp", "--rows", "2", "--cols", "8", "--kappa", "inf", "--sigma", "++++++++"],
+    ["landscape", "histogram", "--rows", "2", "--cols", "8", "--kappa", "inf"],
+    ["landscape", "xi-sbp", "--rows", "2", "--cols", "8", "--k", "2", "--kappa", "inf"],
+    ["landscape", "xi-disc", "--rows", "2", "--cols", "8", "--disorder", "rademacher",
+     "--cu", "inf"],
+    ["landscape", "ogp", "--rows", "2", "--cols", "8", "--beta", "0.5", "--eta", "0.1",
+     "--K", "inf"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -358,6 +366,26 @@ def test_cli_experiment(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg)]) == 0
     assert "2/2 tasks ok" in capsys.readouterr().out
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("case", ["gen", "disc", "experiment-under-file",
+                                  "experiment-is-file"])
+def test_cli_unwritable_output_path_is_one_error_line(case, tmp_path, capsys):
+    # each used to end in an OSError traceback
+    regular = tmp_path / "file"
+    regular.write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "online", "rows": 2, "cols": 4, "seeds": "0..1"}))
+    target = {"gen": tmp_path / "missing" / "x", "disc": tmp_path / "missing" / "x.json",
+              "experiment-under-file": regular / "sub", "experiment-is-file": regular}[case]
+    argv = {"gen": ["gen", "--rows", "2", "--cols", "4", "--out", str(target)],
+            "disc": ["disc", "--rows", "2", "--cols", "4", "--out", str(target)]}.get(
+        case, ["experiment", "--config", str(cfg), "--out-dir", str(target)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_import_leaves_scipy_unloaded():
