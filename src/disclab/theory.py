@@ -187,8 +187,8 @@ def find_ogp_params(C1: float, c2: float, K: float) -> OgpParams:
     """
     if not (math.inf > C1 > c2 > 0):
         raise ParameterError(f"need C1 > c2 > 0 and C1 finite, got C1={C1}, c2={c2}")
-    if not K > 0:
-        raise ParameterError(f"K must be positive, got {K}")
+    if not 0 < K < math.inf:
+        raise ParameterError(f"K must be positive and finite, got {K}")
     m = max(2, math.ceil(16.0 * C1))
     target = min(1.0 / (4.0 * C1), 0.5)
     x = _hb_inverse_lower(target)          # x = 1 - beta, in (0, 1/2]
@@ -544,8 +544,8 @@ def expected_tuple_count_general(n: int, M: int, m: int, hamming_delta: int,
         raise ParameterError(f"need n, m and M >= 1, got n={n}, m={m}, M={M}")
     if not 0 <= hamming_delta <= n:
         raise ParameterError(f"hamming distance must lie in [0, n], got {hamming_delta}")
-    if not K > 0:
-        raise ParameterError(f"K must be positive, got {K}")
+    if not 0 < K < math.inf:
+        raise ParameterError(f"K must be positive and finite, got {K}")
     rho = 1.0 - 2.0 * hamming_delta / n
     hw = K / math.sqrt(n)
     if hamming_delta == 0 or m == 1 or (rho == -1.0 and m == 2):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from disclab import (CapacityError, GreedyOnline, OgpWindow, ParameterError,
-                     RandomSigningOnline, UnsupportedDisorderError, enumerate_below, generate,
+                     RandomSigningOnline, UnsupportedDisorderError, enumerate_below,
+                     enumerate_solutions, generate,
                      interpolate, overlap_histogram, resample_suffix,
                      search_ogp_tuples, search_xi_disc, search_xi_sbp,
                      stability_probe, verify_certificate)
 from disclab import discrepancy, landscape
-from disclab.discrepancy import disc_value, signs_from_codes
+from disclab.discrepancy import codes_from_signs, disc_value, signs_from_codes
 from disclab.cli import main
 from disclab.philox import derive_seed
 from oracles import (all_sign_vectors, naive_ogp_exists, naive_solution_set, naive_xi_exists,
@@ -55,6 +56,8 @@ def test_histogram_counts_match_pairwise_reference(block_entries, monkeypatch):
         want, edges = np.histogram(pairwise_overlaps(sols), bins=bins, range=(-1.0, 1.0))
         assert np.array_equal(h.counts, want) and h.counts.dtype == want.dtype
         assert np.array_equal(h.bin_edges, edges)
+        # the cost rule sends some of these sets to the transform
+        assert np.array_equal(landscape._pair_counts(sols), _reference_distance_counts(sols))
 
 
 def test_cli_histogram_large_solution_set(tmp_path):
@@ -66,11 +69,73 @@ def test_cli_histogram_large_solution_set(tmp_path):
     assert sum(counts) == 51472 * 51471 // 2
 
 
+def test_cli_histogram_transform_scale_solution_set(tmp_path):
+    # 227,996 solutions: 2.6e10 pairs, counted from the set's transform
+    out = tmp_path / "hist.csv"
+    assert main(["landscape", "histogram", "--rows", "4", "--cols", "20", "--seed", "3",
+                 "--kappa", "1.0", "--out", str(out)]) == 0
+    counts = [int(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert sum(counts) == 227996 * 227995 // 2
+    sols = enumerate_solutions(generate(4, 20, "gaussian", 3), 1.0)
+    s, n = sols.shape
+    assert s == 227996
+    u = landscape._distance_counts(sols)
+    # the set is closed under sigma -> -sigma
+    assert np.array_equal(u[1:n], u[n - 1:0:-1]) and u[n] == u[0] + s // 2
+
+
 def test_histogram_validation():
     with pytest.raises(ParameterError):
         overlap_histogram(np.ones((1, 5), dtype=np.int8), bins=3)
     with pytest.raises(ParameterError):
         overlap_histogram(np.ones((3, 5), dtype=np.int8), bins=0)
+    # entries other than +-1 and empty rows are refused before either count runs
+    for bad in ([[1, 0], [1, 1]], [[1, 2], [1, 1]], [[1.0, 0.5], [1.0, 1.0]],
+                np.ones((2, 0), dtype=np.int8)):
+        with pytest.raises(ParameterError):
+            overlap_histogram(np.asarray(bad), bins=3)
+
+
+def _reference_distance_counts(sols):
+    n = sols.shape[1]
+    d = np.rint((1.0 - pairwise_overlaps(sols)) * n / 2).astype(np.intp)
+    return np.bincount(d, minlength=n + 1)
+
+
+def _transform_counts(sols):
+    s, n = sols.shape
+    f = np.bincount(codes_from_signs(sols, "lex").view(np.int64), minlength=1 << n)
+    return landscape._transform_counts(f, n, s)
+
+
+def test_transform_and_pair_counts_agree_on_multisets():
+    rng = np.random.default_rng(23)
+    for n in range(1, 21):
+        for _ in range(3):
+            s = int(rng.integers(2, 301))
+            pool = rng.choice(np.array([-1, 1], np.int8), size=(int(rng.integers(1, s + 1)), n))
+            sols = pool[rng.integers(0, pool.shape[0], size=s)]      # rows repeat
+            want = landscape._pair_counts(sols)
+            assert np.array_equal(_transform_counts(sols), want), (n, s)
+            assert want.sum() == s * (s - 1) // 2
+
+
+def test_transform_and_pair_counts_agree_on_the_full_cube():
+    n = 12
+    sols = signs_from_codes(np.arange(2 ** n, dtype=np.uint64), n, "lex")
+    want = np.array([0] + [math.comb(n, d) * 2 ** n // 2 for d in range(1, n + 1)])
+    assert np.array_equal(landscape._pair_counts(sols), want)
+    assert np.array_equal(_transform_counts(sols), want)
+
+
+def test_transform_and_pair_counts_agree_on_a_solution_set():
+    sols = enumerate_solutions(generate(4, 14, "gaussian", 7), 1.0)
+    s, n = sols.shape
+    assert s > 1000
+    want = landscape._pair_counts(sols)
+    assert np.array_equal(_transform_counts(sols), want)
+    assert np.array_equal(landscape._distance_counts(sols), want)
+    assert np.array_equal(want[1:n], want[n - 1:0:-1]) and want[n] == want[0] + s // 2
 
 
 def test_overlap_equals_hamming_identity():

@@ -335,7 +335,10 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
     ["landscape", "xi-disc", "--rows", "2", "--cols", "8", "--disorder", "rademacher",
      "--cu", "inf"],
     ["landscape", "ogp", "--rows", "2", "--cols", "8", "--beta", "0.5", "--eta", "0.1",
-     "--K", "inf"]])
+     "--K", "inf"],
+    ["theory", "ogp-params", "--C1", "2", "--c2", "0.5", "--K", "inf"],
+    ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2",
+     "--hamming-delta", "4", "--K", "inf"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
