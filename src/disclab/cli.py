@@ -125,8 +125,7 @@ def _task_box_bound(args):
     payload = {"m": args.m, "beta": args.beta, "eta": args.eta,
                "K": args.K, "n": args.n, "bound": bound}
     if args.samples:
-        cov = theory.build_covariance(
-            args.m, args.beta, [args.eta] * (args.m * (args.m - 1) // 2))
+        cov = theory.build_covariance(args.m, args.beta, args.eta)
         est = theory.mc_box_probability(cov, args.K / math.sqrt(args.n),
                                         args.samples, args.seed)
         payload["mc_estimate"] = est.estimate
@@ -285,9 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = topics.add_parser("ogp-params")
     q.add_argument("--C1", type=float, required=True)
     q.add_argument("--c2", type=float, required=True)
-    q.add_argument("--K", type=float, default=1.0)
     q.add_argument("--out")
-    q.set_defaults(task=lambda a: theory.find_ogp_params(a.C1, a.c2, a.K))
+    q.set_defaults(task=lambda a: theory.find_ogp_params(a.C1, a.c2))
 
     q = topics.add_parser("cov")
     q.add_argument("--m", type=int, required=True)

@@ -302,10 +302,10 @@ def load_instance(path) -> Instance:
     values = _FILE_VALUES.get(header["disorder"])
     if header["body"] == "raw":
         need = rows * cols * 8
-        if len(body) < need:
+        if len(body) != need:
             raise InstanceFormatError(f"{path}: raw body holds {len(body)} bytes, "
                                       f"{rows}x{cols} float64 entries need {need}")
-        entries = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols)
+        entries = np.frombuffer(body, dtype="<f8").reshape(rows, cols)
     else:
         entries = _parse_csv(body, rows, cols, path)
     # a resampled ensemble mixes the file's prefix with fresh draws of the

@@ -226,12 +226,12 @@ def derive_seed(seed: int, a: int, b: int = 0) -> int:
     return (o0 << 32) | o1
 
 
-def philox4x32_scalar(counter, key, rounds: int = _ROUNDS):
+def philox4x32_scalar(counter, key):
     """Plain-integer Philox4x32 rounds: ``derive_seed``'s path and the
     reference the vectorized ``philox4x32`` is tested against."""
     c = [x & 0xFFFFFFFF for x in counter]
     k0, k1 = key[0] & 0xFFFFFFFF, key[1] & 0xFFFFFFFF
-    for _ in range(rounds):
+    for _ in range(_ROUNDS):
         p0 = 0xD2511F53 * c[0]
         p1 = 0xCD9E8D57 * c[2]
         c = [

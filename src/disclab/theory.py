@@ -29,6 +29,8 @@ _PD_TOL = 1e-12
 # was about 15% faster, but an estimate's traced peak was 2.27 MB against
 # 1.86 MB for the old full draw of 2^14-sample chunks; 2^15 gives 1.57 MB.
 _MC_CHUNK = 1 << 15
+# the Monte Carlo fallback of expected_tuple_count_general
+_MC_SAMPLES, _MC_SEED = 1_000_000, 0x5EED
 
 
 def prob_abs_z_le(kappa: float) -> float:
@@ -52,12 +54,12 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _hb_inverse_lower(target: float, tol: float = 1e-12) -> float:
+def _hb_inverse_lower(target: float) -> float:
     """The root x in (0, 1/2] of h_b(x) = target (h_b is increasing there)."""
     if not 0.0 < target <= 1.0:
         raise ParameterError(f"entropy target must lie in (0,1], got {target}")
     lo, hi = 0.0, 0.5
-    while hi - lo > tol * 0.1:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if binary_entropy(mid) < target:
             lo = mid
@@ -82,8 +84,23 @@ class ExponentReport:
     scale: str
 
 
+def _finite(what: str, compute) -> float:
+    """compute(), refused when its float64 arithmetic overflows: Python's
+    OverflowError or ZeroDivisionError, or a value that is not finite."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} overflows float64")
+    return value
+
+
 def _report(terms: dict[str, float], params: dict, scale: str) -> ExponentReport:
-    value = math.fsum(terms.values())
+    bad = [name for name, t in terms.items() if not math.isfinite(t)]
+    if bad:
+        raise ParameterError(f"exponent terms {', '.join(bad)} overflow float64")
+    value = _finite("the exponent", lambda: math.fsum(terms.values()))
     verdict = "negative" if value < 0 else "nonnegative"
     return ExponentReport(value=value, terms=terms, params=params,
                           verdict=verdict, scale=scale)
@@ -176,7 +193,7 @@ class OgpParams:
     c: float
 
 
-def find_ogp_params(C1: float, c2: float, K: float) -> OgpParams:
+def find_ogp_params(C1: float, c2: float) -> OgpParams:
     """Tuple-size / overlap-window parameters that force psi_disc < 0
     throughout c2 * M log2 M <= n <= C1 * M log2 M.
 
@@ -187,8 +204,6 @@ def find_ogp_params(C1: float, c2: float, K: float) -> OgpParams:
     """
     if not (math.inf > C1 > c2 > 0):
         raise ParameterError(f"need C1 > c2 > 0 and C1 finite, got C1={C1}, c2={c2}")
-    if not 0 < K < math.inf:
-        raise ParameterError(f"K must be positive and finite, got {K}")
     m = max(2, math.ceil(16.0 * C1))
     target = min(1.0 / (4.0 * C1), 0.5)
     x = _hb_inverse_lower(target)          # x = 1 - beta, in (0, 1/2]
@@ -200,16 +215,22 @@ def find_ogp_params(C1: float, c2: float, K: float) -> OgpParams:
 # Covariance analysis for overlap-window tuples
 # ---------------------------------------------------------------------------
 
-def build_covariance(m: int, beta: float, eta_vec: Sequence[float]) -> np.ndarray:
-    """Unit-diagonal symmetric matrix with off-diagonals beta - eta_ij.
+def build_covariance(m: int, beta: float, eta: Union[float, Sequence[float]]) -> np.ndarray:
+    """Unit-diagonal symmetric m x m matrix with off-diagonals beta - eta_ij:
+    the one way a covariance is built, and the one check of m, beta and eta.
 
-    ``eta_vec`` holds the upper triangle row-major: (1,2), (1,3), ...,
-    (m-1,m).
+    ``eta`` is one value for every pair, or the upper triangle row-major:
+    (1,2), (1,3), ..., (m-1,m).
     """
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
     npairs = m * (m - 1) // 2
-    vec = np.asarray(eta_vec, dtype=np.float64)
-    if vec.shape != (npairs,):
-        raise ParameterError(f"eta_vec must have length {npairs} for m={m}, got {vec.shape}")
+    vec = np.asarray(eta, dtype=np.float64)
+    if vec.shape not in ((), (npairs,)):
+        raise ParameterError(f"eta must be one value or {npairs} for m={m}, "
+                             f"got shape {vec.shape}")
+    if not (math.isfinite(beta) and np.isfinite(vec).all()):
+        raise ParameterError(f"beta and eta must be finite, got beta={beta}, eta={eta}")
     cov = np.eye(m)
     iu = np.triu_indices(m, k=1)
     cov[iu] = beta - vec
@@ -228,22 +249,18 @@ class CovarianceSpec:
     eta_vec: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
+        object.__setattr__(self, "eta_vec", tuple(float(e) for e in self.eta_vec))
+        self.materialize()              # checks m and the length of eta_vec
         if not 0.0 < self.beta < 1.0:
             raise ParameterError(f"beta must lie in (0,1), got {self.beta}")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:
             raise ParameterError(f"eta must be nonnegative, got {self.eta}")
-        npairs = self.m * (self.m - 1) // 2
-        vec = self.eta_vec if self.eta_vec else tuple(0.0 for _ in range(npairs))
-        if len(vec) != npairs:
-            raise ParameterError(f"eta_vec must have length {npairs}, got {len(vec)}")
-        if any(not 0.0 <= e <= self.eta for e in vec):
+        if any(not 0.0 <= e <= self.eta for e in self.eta_vec):
             raise ParameterError("every eta_ij must lie in [0, eta]")
-        object.__setattr__(self, "eta_vec", tuple(float(e) for e in vec))
 
     def materialize(self) -> np.ndarray:
-        return build_covariance(self.m, self.beta, self.eta_vec)
+        """The covariance; an empty ``eta_vec`` means every eta_ij is 0."""
+        return build_covariance(self.m, self.beta, self.eta_vec or 0.0)
 
 
 @dataclass(frozen=True)
@@ -274,19 +291,12 @@ def gaussian_box_bound(m: int, beta: float, eta: Union[float, Sequence[float]],
     """
     if not (0 < K < math.inf and 0 < n < math.inf):
         raise ParameterError(f"K and n must be positive and finite, got K={K}, n={n}")
-    if m < 1 or not np.isfinite(eta).all():
-        raise ParameterError(f"need m >= 1 and a finite eta, got m={m}, eta={eta}")
-    if np.isscalar(eta):
-        eta_vec = [float(eta)] * (m * (m - 1) // 2)
-    else:
-        eta_vec = eta
-    cov = build_covariance(m, beta, eta_vec)
-    eigs = np.linalg.eigvalsh(cov)
+    eigs = np.linalg.eigvalsh(build_covariance(m, beta, eta))
     if eigs[0] <= _PD_TOL:
         raise ParameterError("covariance is not positive definite")
     det = float(np.prod(eigs))
-    return float((2.0 * math.pi) ** (-m / 2.0) * det ** -0.5
-                 * (2.0 * K / math.sqrt(n)) ** m)
+    return _finite("the box bound", lambda: float(
+        (2.0 * math.pi) ** (-m / 2.0) * det ** -0.5 * (2.0 * K / math.sqrt(n)) ** m))
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +330,15 @@ def correlate(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _covariance_matrix(covariance) -> np.ndarray:
     """A ``CovarianceSpec`` or array-like as a float64 matrix, which must be
-    nonempty and square: the one input check of both box estimators."""
+    nonempty, square and finite: the one input check of both box estimators."""
     if isinstance(covariance, CovarianceSpec):
         covariance = covariance.materialize()
     cov = np.asarray(covariance, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] < 1:
         raise ParameterError(f"covariance must be a nonempty square matrix, "
                              f"got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise ParameterError("covariance entries must be finite")
     return cov
 
 
@@ -510,8 +522,10 @@ def expected_xi_count(n: int, M: int, k: int, m: int, kappa: float) -> float:
         raise ParameterError(f"kappa must be positive and finite, got {kappa}")
     rho = 1.0 - k / n
     p_box = equicorrelated_box_probability(m, rho, kappa)
+    if p_box == 0.0:                          # underflow: no tuple survives M rows
+        return 0.0
     log2_count = n + k * (m - 1)
-    return float(2.0 ** (log2_count + M * math.log2(p_box)))
+    return _finite("the expected count", lambda: 2.0 ** (log2_count + M * math.log2(p_box)))
 
 
 @dataclass(frozen=True)
@@ -532,13 +546,13 @@ class TupleCountEstimate:
 
 
 def expected_tuple_count_general(n: int, M: int, m: int, hamming_delta: int,
-                                 K: float, mc_samples: int = 1_000_000,
-                                 mc_seed: int = 0x5EED) -> TupleCountEstimate:
+                                 K: float) -> TupleCountEstimate:
     """First-moment estimate for m-tuples at pairwise Hamming distance
     ``hamming_delta`` with every member of discrepancy at most K.
 
     The pairwise overlap is 1 - 2 delta/n; negative overlaps with m > 3
-    fall back to the Monte Carlo oracle (deterministic given mc_seed).
+    fall back to the Monte Carlo oracle (``_MC_SAMPLES`` draws of seed
+    ``_MC_SEED``, so the estimate is deterministic).
     """
     if min(n, m, M) < 1:
         raise ParameterError(f"need n, m and M >= 1, got n={n}, m={m}, M={M}")
@@ -560,16 +574,14 @@ def expected_tuple_count_general(n: int, M: int, m: int, hamming_delta: int,
         if rho >= 0.0:
             p_row = equicorrelated_box_probability(m, rho, hw)
         elif m <= 3:
-            p_row = box_probability_quadrature(
-                build_covariance(m, rho, [0.0] * (m * (m - 1) // 2)), hw)
+            p_row = box_probability_quadrature(build_covariance(m, rho, 0.0), hw)
         else:
-            est = mc_box_probability(
-                build_covariance(m, rho, [0.0] * (m * (m - 1) // 2)), hw,
-                mc_samples, mc_seed)
-            p_row = est.estimate
+            p_row = mc_box_probability(build_covariance(m, rho, 0.0), hw,
+                                       _MC_SAMPLES, _MC_SEED).estimate
     log2_counting = n + n * (m - 1) * binary_entropy(hamming_delta / n)
     log2_value = log2_counting + (M * math.log2(p_row) if p_row > 0 else -math.inf)
-    return TupleCountEstimate(value=float(2.0 ** log2_value), log2_value=log2_value,
+    value = _finite("the expected count", lambda: 2.0 ** log2_value)
+    return TupleCountEstimate(value=value, log2_value=log2_value,
                               log2_counting=log2_counting, row_probability=p_row)
 
 
@@ -591,6 +603,6 @@ def stable_constants(eta: float, L: float, m: int) -> StableConstants:
         raise ParameterError(f"L must be positive and finite, got {L}")
     if m < 2:
         raise ParameterError(f"m must be >= 2, got {m}")
-    C = eta * eta / 1600.0
-    Q = 4800.0 * L * math.pi / (eta * eta)
-    return StableConstants(C=C, Q=Q, log2_log2_T=4.0 * m * Q * math.log2(Q))
+    Q = _finite("Q", lambda: 4800.0 * L * math.pi / (eta * eta))
+    return StableConstants(C=eta * eta / 1600.0, Q=Q, log2_log2_T=_finite(
+        "log2 log2 T", lambda: 4.0 * m * Q * math.log2(Q)))

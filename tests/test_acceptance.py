@@ -49,7 +49,7 @@ def test_criterion_02_upsilon_anchor():
 # 3 -------------------------------------------------------------------------
 
 def test_criterion_03_ogp_exponent_negativity():
-    p = dl.find_ogp_params(1.0, 0.5, 1.0)
+    p = dl.find_ogp_params(1.0, 0.5)
     worst = -math.inf
     count = 0
     for log_m in range(8, 21):

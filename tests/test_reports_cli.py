@@ -336,9 +336,25 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
      "--cu", "inf"],
     ["landscape", "ogp", "--rows", "2", "--cols", "8", "--beta", "0.5", "--eta", "0.1",
      "--K", "inf"],
-    ["theory", "ogp-params", "--C1", "2", "--c2", "0.5", "--K", "inf"],
     ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2",
-     "--hamming-delta", "4", "--K", "inf"]])
+     "--hamming-delta", "4", "--K", "inf"],
+    _BOX_BOUND[:-2] + ["--beta", "nan", "--K", "1", "--n", "4"],
+    _BOX_BOUND[:-2] + ["--beta", "inf", "--K", "1", "--n", "4"],
+    # finite input whose float64 arithmetic overflows
+    ["theory", "psi-sbp", "--delta", "0.04", "--m", "3", "--alpha", "1e308",
+     "--kappa", "0.1"],
+    ["theory", "psi-disc", "--m", "2", "--beta", "0.5", "--eta", "0.1", "--c", "1e308",
+     "--n", "1e308", "--rows", "2", "--K", "1"],
+    ["theory", "psi-disc", "--m", "2", "--beta", "0.5", "--eta", "0.1", "--c", "0.1",
+     "--n", "1e308", "--rows", "2", "--K", "1"],
+    _BOX_BOUND + ["--K", "1e300", "--n", "1e-300"],
+    _BOX_BOUND + ["--K", "1e200", "--n", "1"],
+    ["theory", "stable-constants", "--eta", "1e-200", "--L", "1", "--m", "2"],
+    ["theory", "stable-constants", "--eta", "1e-160", "--L", "1", "--m", "2"],
+    ["theory", "expected-count", "--n", "2000", "--rows", "1", "--m", "2", "--k", "4",
+     "--kappa", "10"],
+    ["theory", "expected-count", "--n", "2000", "--rows", "1", "--m", "2",
+     "--hamming-delta", "1000", "--K", "100"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -359,6 +375,21 @@ def test_cli_lambda_that_overflows_float64_is_one_error_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "overflow float64" in captured.err
+
+
+def test_cli_expected_count_whose_box_probability_underflows_is_zero(capsys):
+    # log2 of the underflowed probability used to raise a math domain error
+    assert disclab.equicorrelated_box_probability(2, 1.0 - 4 / 12, 1e-200) == 0.0
+    assert main(["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2",
+                 "--k", "4", "--kappa", "1e-200"]) == 0
+    assert '"expected_count": 0\n' in capsys.readouterr().out
+
+
+def test_cli_ogp_params_takes_no_K(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "ogp-params", "--C1", "2", "--c2", "0.5", "--K", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --K 1" in capsys.readouterr().err
 
 
 def test_cli_experiment(tmp_path, capsys):
@@ -418,6 +449,7 @@ BAD_INSTANCE_FILES = {
     "cut-header": _raw_header(2, 3)[:17],
     "missing-keys": b'{"rows": 2, "cols": 3}\n1,2,3\n4,5,6\n',
     "short-raw-body": _raw_header(2, 3) + b"\0" * 47,
+    "long-raw-body": _raw_header(2, 3) + b"\0" * 61,
     "ragged-csv": (b'{"rows": 2, "cols": 3, "disorder": "rademacher", "seed": 1, '
                    b'"body": "csv"}\n1,-1,1\n-1,1\n'),
     "bernoulli-without-p": (b'{"rows": 2, "cols": 3, "disorder": "bernoulli", "seed": 1, '
@@ -457,6 +489,10 @@ def test_load_instance_raises_instance_format_error(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_bytes(BAD_INSTANCE_FILES["short-raw-body"])
     with pytest.raises(disclab.InstanceFormatError):
+        disclab.load_instance(path)
+    # trailing bytes used to be ignored
+    path.write_bytes(BAD_INSTANCE_FILES["long-raw-body"])
+    with pytest.raises(disclab.InstanceFormatError, match="holds 61 bytes.* need 48"):
         disclab.load_instance(path)
     path.write_bytes(_raw_header(2, 3) + b"\0" * 48)
     assert disclab.load_instance(path).entries.shape == (2, 3)
@@ -569,6 +605,18 @@ def test_readme_cli_examples_parse():
     for argv in examples:
         args = build_parser().parse_args(argv)
         assert callable(args.task), argv
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_readme_theory_examples_run_and_print_json(capsys):
+    examples = [argv for argv in _readme_cli_examples() if argv[0] == "theory"]
+    assert len(examples) >= 9           # one per theory topic
+    for argv in examples:
+        assert main(argv) == 0, argv
+        json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
 
 
 def test_readme_module_table_names_every_module():

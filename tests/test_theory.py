@@ -124,20 +124,20 @@ def test_psi_disc_entropy_factor_variants():
 
 
 def test_find_ogp_params_anchors():
-    p = find_ogp_params(1.0, 0.5, 1.0)
+    p = find_ogp_params(1.0, 0.5)
     assert p.m == 16
     assert abs(binary_entropy(1.0 - p.beta) - 0.25) < 1e-11
     assert abs((1.0 - p.beta) - 0.0415) < 1e-3
     assert p.c == 1.0 / 16.0
     assert p.eta == (1.0 - p.beta) / (2 * p.m)
     assert p.eta < (1.0 - p.beta) / p.m          # keeps the covariance PD
-    assert find_ogp_params(0.01, 0.001, 1.0).m == 2
+    assert find_ogp_params(0.01, 0.001).m == 2
     with pytest.raises(ParameterError):
-        find_ogp_params(0.5, 0.5, 1.0)
+        find_ogp_params(0.5, 0.5)
 
 
 def test_psi_disc_negative_on_construction_grid():
-    p = find_ogp_params(1.0, 0.5, 1.0)
+    p = find_ogp_params(1.0, 0.5)
     for log_m in range(8, 21):
         M = 2 ** log_m
         for c in np.linspace(0.5, 1.0, 10):
@@ -433,6 +433,27 @@ def test_both_box_estimators_refuse_a_malformed_covariance():
             box_probability_quadrature(cov, 1.0)
         with pytest.raises(ParameterError, match="nonempty square matrix"):
             mc_box_probability(cov, 1.0, 10_000, seed=1)
+    # both used to estimate P = 0 for a matrix with a NaN entry
+    for bad in (math.nan, math.inf):
+        cov = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ParameterError, match="finite"):
+            box_probability_quadrature(cov, 1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            mc_box_probability(cov, 1.0, 10_000, seed=1)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_build_covariance_one_eta_equals_its_vector(m):
+    npairs = m * (m - 1) // 2
+    for beta, eta in [(0.8, 0.0), (0.9583, 0.0013), (0.6, 0.1 / 3), (0.5, -0.25)]:
+        one = build_covariance(m, beta, eta)
+        assert one.tobytes() == build_covariance(m, beta, [eta] * npairs).tobytes()
+
+
+def test_build_covariance_refuses_a_non_finite_eta_vector():
+    # it used to put +inf off the diagonal
+    with pytest.raises(ParameterError, match="finite"):
+        build_covariance(3, 0.5, [0.1, -math.inf, 0.1])
 
 
 _QUADRATURE_COVS = {
