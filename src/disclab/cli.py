@@ -110,7 +110,9 @@ def _task_ogp(args):
              for i in range(args.m)]
     window = landscape.OgpWindow(beta=args.beta, eta=args.eta, bound=args.K, m=args.m)
     grid = landscape.default_angle_grid(args.grid)
-    cert = landscape.search_ogp_tuples(base, fresh, grid, window, max_n=args.max_n)
+    cert = landscape.search_ogp_tuples(base, fresh, grid,
+                                       (*window.interval, window.bound, window.m),
+                                       max_n=args.max_n)
     return cert or {"found": False}
 
 

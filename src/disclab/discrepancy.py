@@ -29,8 +29,9 @@ in every block.  One query, ``_GrayScan.below``, hands every caller the
 codes and norms of a block's candidates scanned at most a bound, in walk
 order.  An even block walks its columns upward and an odd one downward,
 by the reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1), so the
-global visiting order is preserved exactly.  The shared-prefix searches
-in ``landscape`` scan blocks the same way on "lex" tables.
+global visiting order is preserved exactly.  ``first_shared_prefix``, the
+scan behind ``landscape``'s shared-prefix searches, blocks its prefixes the
+same way on "lex" tables.
 
 Scan dtype (``scan_precision``).  Let S = max_i sum_j |M_ij|; every row
 sum, prefix or suffix sum of a candidate is at most S in absolute value,
@@ -57,8 +58,8 @@ disjoint columns, q in all, by 2q w S.  A scanned row sum is a wide head
 plus a wide table entry, each cast once, added in the scan dtype.  The
 exact scan's head is its running sum (n - 1 additions for the start, one
 per block), erring by (steps + n) w S, and its table covers at most
-n - 1 columns.  A search's head is the all-plus row sums (n - 1
-additions) plus a high-table entry over q_h columns in one more
+n - 1 columns.  A ``first_shared_prefix`` head is the all-plus row sums
+(n - 1 additions) plus a high-table entry over q_h columns in one more
 addition, (n + 2 q_h) w S, its member table covers the other n - q_h
 columns, and it takes steps = 0.  With the direct product ``disc_value``
 (n w S) the float64 errors total at most (steps + 4n) w S either way.
@@ -78,7 +79,7 @@ most best + s and at most the block's least + 2s (any other has a direct
 norm above best or above the least candidate's), keeping the first strict
 improvement in walk order.  Enumerations and searches take a candidate
 scanned at most threshold + s, accept it when scanned below threshold - s
-and re-decide it otherwise.
+and re-decide it otherwise (``_admit``).
 
 Those bounds are Python floats, and under NumPy 2 (NEP 50) comparing a
 float32 array with a Python float rounds the float to float32 first.
@@ -98,7 +99,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -178,10 +179,14 @@ def codes_from_signs(signs, order: str) -> np.ndarray:
     signs = np.asarray(signs)
     count, n = signs.shape
     shift, byteorder, bitorder = _code_layout(n, order)
-    bits = np.zeros((count, 64), dtype=bool)      # one flat pack is far cheaper than per row
+    width = -(-n // 8)                            # packed bytes per row
+    bits = np.zeros((count, 8 * width), dtype=bool)   # one flat pack is far cheaper than per row
     np.less(signs, 0, out=bits[:, :n])
-    packed = np.packbits(bits.reshape(-1), bitorder=bitorder).view(byteorder)
-    return packed.astype(np.uint64) >> shift
+    raw = np.zeros((count, 8), dtype=np.uint8)
+    raw[:, :width] = np.packbits(bits.reshape(-1), bitorder=bitorder).reshape(count, width)
+    codes = raw.view(byteorder)[:, 0].astype(np.uint64)
+    codes >>= shift
+    return codes
 
 
 @dataclass(frozen=True)
@@ -340,6 +345,16 @@ def _direct_value(inst: Instance, code, order: str = "gray") -> Union[int, float
     return disc_value(inst, signs_from_codes([code], inst.cols, order)[0]).value
 
 
+def _admit(inst: Instance, codes, scanned: np.ndarray, lo, threshold: float,
+           order: str) -> np.ndarray:
+    """Which of these candidates, each scanned at most hi (``scan_bounds``),
+    meet ``threshold``: those scanned below ``lo``, and those whose direct value does."""
+    keep = scanned < lo
+    for i in np.flatnonzero(~keep):
+        keep[i] = _direct_value(inst, codes[i], order) <= threshold
+    return keep
+
+
 def exact_discrepancy(inst: Instance, max_n: Optional[int] = None) -> DiscrepancyResult:
     """Global minimum of max_i |(M sigma)_i| over all sign vectors, for n up
     to ``max_n`` (None: ``EXACT_MAX_N``).
@@ -393,15 +408,66 @@ def enumerate_below(inst: Instance, threshold: float,
     found = []
     for j, norms in scan.blocks():
         codes, scanned = scan.below(j, norms, hi)
-        keep = scanned < lo
-        if not keep.all():
-            for i in (~keep).nonzero()[0]:
-                keep[i] = _direct_value(inst, codes[i]) <= threshold
-            codes = codes[keep]
-        found.append(codes)
+        found.append(codes[_admit(inst, codes, scanned, lo, threshold, "gray")])
     del scan            # free its table before the sign matrix is built
     half = signs_from_codes(np.concatenate(found), n, "gray")
     return np.concatenate([half, -half], axis=0)
+
+
+def first_shared_prefix(members: Sequence[Instance], k: int,
+                        threshold: float) -> Optional[tuple[int, list[int]]]:
+    """First (prefix, per-member suffixes) in lex order with every member
+    satisfying ||M_i sigma_i||_inf <= threshold, or None.  The members share
+    their shape and first n-k columns; sigma_i has the "lex" code
+    (prefix << k) | suffixes[i], and membership is that of ``disc_value``.
+
+    A blocked scan as in ``_GrayScan``: a block is the 2^c prefixes sharing
+    their high n-k-c columns, c + k the largest exponent that keeps an
+    (M, 2^(c+k)) scan array within ``_BLOCK_BYTES`` (0 <= c <= n-k).  Lex
+    tables (``_suffix_table``): each member's over its k suffix columns then
+    the c low prefix columns, one broadcast add of its suffix table and the
+    shared low-prefix table; and a shared one over the high columns, which
+    plus a member's all-plus row sums is its head for each block.  Entry
+    (s, p) of a member's (2^k, 2^c) block norms is low prefix p with suffix
+    s; a prefix survives when every member has a norm <= the filter bound
+    in its column, and survivors are decided in order by ``_admit``.
+    """
+    n_pref = members[0].cols - k
+    work = [mem.entries for mem in members]
+    dtype, slack = scan_precision(np.concatenate(work), 0)
+    hi, lo = scan_bounds(dtype, threshold, slack)
+    m_rows = members[0].rows
+    c = min(max(_block_bits(m_rows, dtype) - k, 0), n_pref)
+    shape = (m_rows, 1 << k, 1 << c)
+    # float tables are summed in float64; the integer scan dtype holds every entry
+    wide = np.dtype(np.float64) if dtype.kind == "f" else dtype
+    high = _suffix_table(work[0][:, :n_pref - c], wide, "lex")
+    heads = [(w.sum(axis=1)[:, None] + high).astype(dtype) for w in work]
+    low = _suffix_table(work[0][:, n_pref - c:n_pref], wide, "lex")[:, None, :]
+    tables = [np.add(_suffix_table(w[:, n_pref:], wide, "lex")[:, :, None], low,
+                     out=aligned_empty(shape, dtype), casting="same_kind") for w in work]
+    buf = aligned_empty(shape, dtype)
+    norms = [aligned_empty(shape[1:], dtype) for _ in work]
+    for h in range(high.shape[1]):
+        ok = np.ones(1 << c, dtype=bool)
+        for head, table, vals in zip(heads, tables, norms):
+            max_abs_rows(head[:, h, None, None], table, buf, vals)
+            ok &= np.logical_or.reduce(vals <= hi, axis=0)
+            if not ok.any():
+                break
+        for p in ok.nonzero()[0]:
+            prefix = (h << c) | int(p)
+            suffixes = []
+            for mem, vals in zip(members, norms):
+                col = vals[:, p]
+                r = np.flatnonzero(col <= hi)
+                r = r[_admit(mem, (prefix << k) | r, col[r], lo, threshold, "lex")]
+                if not r.size:
+                    break
+                suffixes.append(int(r[0]))
+            else:
+                return prefix, suffixes
+    return None
 
 
 def sbp_membership(inst: Instance, sigma, kappa: float) -> bool:

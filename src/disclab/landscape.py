@@ -6,12 +6,9 @@ At desk scale the forbidden tuple sets may well be non-empty; searches
 therefore return a witness certificate (or None), never an emptiness
 claim.
 
-Lexicographic code convention used by the searches: a sign vector maps to
-the integer whose bit (n-1-j) is 0 for sigma(j) = +1 and 1 for -1, with
-coordinate 1 most significant; ascending codes order Sigma_n
-lexicographically with +1 < -1.  "First certificate" always means first
-in this order (prefix first, then member suffixes / members in turn).
-``signs_from_codes`` and ``codes_from_signs`` with order "lex" convert.
+"First certificate" means first in the "lex" code order of
+``discrepancy._code_layout`` (prefix first, then member suffixes /
+members in turn).
 """
 
 from __future__ import annotations
@@ -23,9 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import philox
-from .discrepancy import (_block_bits, _direct_value, _suffix_table, aligned_empty,
-                          codes_from_signs, disc_value, enumerate_below, max_abs_rows,
-                          scan_bounds, scan_precision, signs_from_codes)
+from .discrepancy import (codes_from_signs, disc_value, enumerate_below,
+                          first_shared_prefix, signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
 from .instances import Instance, _check_dims, generate, interpolate
 from .online import run_online_batch
@@ -65,8 +61,8 @@ def _distance_counts(solutions: np.ndarray) -> np.ndarray:
       entries fit _TRANSFORM_ENTRIES (32 MB) and its n 2^n butterfly
       entries plus _TRANSFORM_SETUP_PAIRS are fewer than the s(s-1)/2
       pairs.  It holds 13 bytes per cube entry with the weight table, and
-      about 80 bytes per row while it builds the codes: 74 MB traced for
-      the 947,052 solutions at 4x22;
+      8 ceil(n/8) + 16 bytes per row while it builds the codes: 55 MB
+      traced for the 947,052 solutions at 4x22, set by the cube;
     - otherwise the rows are paired (``_pair_counts``), O(s^2 n) time and
       blocks of _HISTOGRAM_ENTRIES float32 gram entries (about 10 MB).
     A butterfly entry costs 3-5 ns, a pair 4-8 ns and the transform's
@@ -196,10 +192,16 @@ class TupleCertificate:
     threshold: float
 
 
-def _overlap_vector(members: np.ndarray) -> np.ndarray:
-    i, j = np.triu_indices(members.shape[0], 1)       # pairs row-major
-    d = np.count_nonzero(members[i] != members[j], axis=1)
-    return 1.0 - 2.0 * d / members.shape[1]
+def _certificate(codes, instances: Sequence[Instance], tau_or_delta: dict,
+                 threshold: float) -> TupleCertificate:
+    """The certificate whose member i has "lex" code codes[i], valued on instances[i]."""
+    sigma = signs_from_codes(codes, instances[0].cols, "lex")
+    i, j = np.triu_indices(len(sigma), 1)             # pairs row-major
+    d = np.count_nonzero(sigma[i] != sigma[j], axis=1)
+    disc = [disc_value(inst, s).value for inst, s in zip(instances, sigma)]
+    return TupleCertificate(members=sigma, overlaps=1.0 - 2.0 * d / sigma.shape[1],
+                            disc_values=np.array(disc, dtype=float),
+                            tau_or_delta=tau_or_delta, threshold=float(threshold))
 
 
 def verify_certificate(cert: TupleCertificate, instances: Sequence[Instance],
@@ -247,70 +249,12 @@ def _shared_prefix_certificate(members: Sequence[Instance], k: int, threshold: f
             raise ParameterError("ensemble members must share shape and disorder")
         if not np.array_equal(mem.entries[:, : n - k], members[0].entries[:, : n - k]):
             raise ParameterError(f"members do not share the first n-k={n - k} columns")
-    hit = _search_shared_prefix(members, k, threshold)
+    hit = first_shared_prefix(members, k, threshold)
     if hit is None:
         return None
     p, suffixes = hit
-    sigma = signs_from_codes([(p << k) | s for s in suffixes], n, "lex")
-    disc = np.array([disc_value(mem, sigma[i]).value for i, mem in enumerate(members)],
-                    dtype=float)
-    return TupleCertificate(members=sigma, overlaps=_overlap_vector(sigma),
-                            disc_values=disc,
-                            tau_or_delta={"mode": "suffix_resample", "k": k},
-                            threshold=float(threshold))
-
-
-def _search_shared_prefix(members: Sequence[Instance], k: int,
-                          threshold: float) -> Optional[tuple[int, list[int]]]:
-    """First (prefix, per-member suffix) in lex order with every member
-    satisfying ||M_i sigma_i||_inf <= threshold, or None.
-
-    A blocked scan as in ``_GrayScan``: a block is the 2^c prefixes sharing
-    their high n-k-c columns, c + k the largest exponent that keeps an
-    (M, 2^(c+k)) scan array within ``_BLOCK_BYTES`` (0 <= c <= n-k).  Lex
-    tables (``_suffix_table``): each member's over its k suffix columns then
-    the c low prefix columns, one broadcast add of its suffix table and the
-    shared low-prefix table; and a shared one over the high columns, which
-    plus a member's all-plus row sums is its head for each block.  Entry
-    (s, p) of a member's (2^k, 2^c) block norms is low prefix p with suffix
-    s; a prefix survives when every member has a norm <= the filter bound
-    in its column, and survivors are decided in order from those norms.
-    """
-    n_pref = members[0].cols - k
-    work = [mem.entries for mem in members]
-    dtype, slack = scan_precision(np.concatenate(work), 0)
-    hi, lo = scan_bounds(dtype, threshold, slack)
-    m_rows = members[0].rows
-    c = min(max(_block_bits(m_rows, dtype) - k, 0), n_pref)
-    shape = (m_rows, 1 << k, 1 << c)
-    # float tables are summed in float64; the integer scan dtype holds every entry
-    wide = np.dtype(np.float64) if dtype.kind == "f" else dtype
-    high = _suffix_table(work[0][:, :n_pref - c], wide, "lex")
-    heads = [(w.sum(axis=1)[:, None] + high).astype(dtype) for w in work]
-    low = _suffix_table(work[0][:, n_pref - c:n_pref], wide, "lex")[:, None, :]
-    tables = [np.add(_suffix_table(w[:, n_pref:], wide, "lex")[:, :, None], low,
-                     out=aligned_empty(shape, dtype), casting="same_kind") for w in work]
-    buf = aligned_empty(shape, dtype)
-    norms = [aligned_empty(shape[1:], dtype) for _ in work]
-
-    def first_suffix(mem, col, prefix):
-        # the first suffix of ``prefix`` that ``mem`` admits, or None
-        return next((int(r) for r in (col <= hi).nonzero()[0] if col[r] < lo
-                     or _direct_value(mem, (prefix << k) | int(r), "lex") <= threshold), None)
-
-    for h in range(high.shape[1]):
-        ok = np.ones(1 << c, dtype=bool)
-        for head, table, vals in zip(heads, tables, norms):
-            max_abs_rows(head[:, h, None, None], table, buf, vals)
-            ok &= np.logical_or.reduce(vals <= hi, axis=0)
-            if not ok.any():
-                break
-        for p in ok.nonzero()[0]:
-            prefix = (h << c) | int(p)
-            suffixes = [first_suffix(mem, vals[:, p], prefix) for mem, vals in zip(members, norms)]
-            if None not in suffixes:
-                return prefix, suffixes
-    return None
+    return _certificate([(p << k) | s for s in suffixes], members,
+                        {"mode": "suffix_resample", "k": k}, threshold)
 
 
 def search_xi_sbp(members: Sequence[Instance], k: int, kappa: float,
@@ -381,26 +325,21 @@ def _window_filter(codes: np.ndarray, ref_code: np.uint64, n: int,
 
 
 def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequence[float],
-                      window, max_n: Optional[int] = None) -> Optional[TupleCertificate]:
+                      window: tuple, max_n: Optional[int] = None) -> Optional[TupleCertificate]:
     """First m-tuple (lexicographic) of solutions of the interpolated
     instances cos(tau_i) * base + sin(tau_i) * fresh_i whose pairwise
     overlaps all land in the window.
 
-    ``window`` is an OgpWindow, or a raw (lo, hi, bound, m) tuple for
-    degenerate windows outside the OgpWindow invariants (its bound, too,
-    must be positive and finite).  Each member's
-    candidate set is the union over the angle grid of its solution sets;
-    the recorded angle is the first witness in grid order.
+    ``window`` is (lo, hi, bound, m): the overlap interval [lo, hi], which
+    may be degenerate, the positive finite discrepancy bound and the tuple
+    size (an ``OgpWindow`` w gives ``(*w.interval, w.bound, w.m)``).  Each
+    member's candidate set is the union over the angle grid of its solution
+    sets; the recorded angle is the first witness in grid order.
     """
-    if isinstance(window, OgpWindow):
-        lo, hi = window.interval
-        m = window.m
-        threshold = window.bound
-    else:
-        lo, hi, threshold, m = window
-        threshold = float(threshold)
-        if not 0 < threshold < math.inf:
-            raise ParameterError(f"threshold must be positive and finite, got {threshold}")
+    lo, hi, threshold, m = window
+    threshold = float(threshold)
+    if not 0 < threshold < math.inf:
+        raise ParameterError(f"threshold must be positive and finite, got {threshold}")
     if len(fresh) != m:
         raise ParameterError(f"need {m} fresh instances, got {len(fresh)}")
     if len(angles) == 0:
@@ -441,15 +380,10 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
 
     if not extend(0):
         return None
-    sigma = signs_from_codes(chosen, n, "lex")
     taus = [angles[first_angles[i][np.searchsorted(member_codes[i], chosen[i])]]
             for i in range(m)]
-    disc = np.array([disc_value(interpolate(base, fresh[i], taus[i]), sigma[i]).value
-                     for i in range(m)], dtype=float)
-    return TupleCertificate(members=sigma, overlaps=_overlap_vector(sigma),
-                            disc_values=disc,
-                            tau_or_delta={"mode": "interpolate", "angles": list(taus)},
-                            threshold=float(threshold))
+    return _certificate(chosen, [interpolate(base, fresh[i], taus[i]) for i in range(m)],
+                        {"mode": "interpolate", "angles": list(taus)}, threshold)
 
 
 def default_angle_grid(Q: int) -> np.ndarray:

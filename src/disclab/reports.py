@@ -6,7 +6,8 @@ float64 round-trip) and depends on no locale or timestamp, so reruns
 are byte-identical.  A dataclass is an object of its fields in
 declaration order; an int8 array is a sign vector and becomes a sign
 string, one per row when it is 2-d; any other array becomes a flat list;
-numpy scalars are their Python values.  These rules hold at any depth.
+numpy scalars are their Python values; NaN and +-inf have no JSON value
+and are a ``ParameterError``.  These rules hold at any depth.
 ``emit_report`` writes a histogram in the CSV layout
 ``bin_lo,bin_hi,count`` and every other result as JSON.
 """
@@ -23,14 +24,6 @@ import numpy as np
 from .discrepancy import sign_string
 from .errors import ParameterError
 from .landscape import Histogram
-
-
-def _render_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
 
 
 def render_json(value: Any, indent: int = 0) -> str:
@@ -58,7 +51,9 @@ def render_json(value: Any, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _render_float(float(value))
+        if not math.isfinite(value):
+            raise ParameterError(f"JSON has no value for the float {float(value)!r}")
+        return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
@@ -77,7 +72,7 @@ def render_json(value: Any, indent: int = 0) -> str:
 def histogram_csv(hist: Histogram) -> str:
     lines = ["bin_lo,bin_hi,count"]
     for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-        lines.append(f"{_render_float(float(lo))},{_render_float(float(hi))},{int(c)}")
+        lines.append(f"{float(lo):.17g},{float(hi):.17g},{int(c)}")
     return "\n".join(lines) + "\n"
 
 

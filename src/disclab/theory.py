@@ -173,11 +173,15 @@ def psi_disc(m: int, beta: float, eta: float, c: float, n: float, M: float,
     if entropy_factor not in ("m", "m-1"):
         raise ParameterError(f"entropy_factor must be 'm' or 'm-1', got {entropy_factor!r}")
     mu = m if entropy_factor == "m" else m - 1
+    box = 4.0 * K * K / (math.pi * (1.0 - beta))
+    if box == 0.0:
+        raise ParameterError(f"the box_bound term underflows float64: "
+                             f"4K^2/(pi(1-beta)) is 0 at K={K}")
     terms = {
         "first_vector": float(n),
         "overlap_entropy": mu * n * binary_entropy((1.0 - beta + eta) / 2.0),
         "angle_grid": c * m * n,
-        "box_bound": (m * M / 2.0) * math.log2(4.0 * K * K / (math.pi * (1.0 - beta))),
+        "box_bound": (m * M / 2.0) * math.log2(box),
         "scaling": -(M * m / 2.0) * math.log2(n),
     }
     params = {"m": m, "beta": beta, "eta": eta, "c": c, "n": n, "M": M, "K": K,

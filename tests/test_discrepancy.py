@@ -371,6 +371,24 @@ def test_signs_from_codes_holds_the_output_plus_o_count(order, n):
     assert peak <= out.nbytes + 16 * codes.shape[0] + 4096
 
 
+@pytest.mark.parametrize("order", ["gray", "lex"])
+@pytest.mark.parametrize("n", [14, 22])
+def test_codes_from_signs_holds_the_padded_bits_plus_o_count(order, n):
+    # it once packed a (count, 64) bool matrix for any n: about 88 bytes per
+    # row; now n bits padded to whole bytes, their packed bytes and two words
+    signs = np.where(np.random.default_rng(5).random((3104, n)) < 0.5, -1, 1).astype(np.int8)
+    width = -(-n // 8)
+    tracemalloc.start()
+    try:
+        codes = codes_from_signs(signs, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(signs_from_codes(codes, n, order)[:, order == "gray":],
+                          signs[:, order == "gray":])
+    assert peak <= signs.shape[0] * (9 * width + 16) + 4096
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sign_code_roundtrip_lex(data):

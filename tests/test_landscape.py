@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from disclab import (CapacityError, GreedyOnline, OgpWindow, ParameterError,
+from disclab import (CapacityError, GreedyOnline, Instance, OgpWindow, ParameterError,
                      RandomSigningOnline, UnsupportedDisorderError, enumerate_below,
                      enumerate_solutions, generate,
                      interpolate, overlap_histogram, resample_suffix,
@@ -242,8 +242,22 @@ def test_xi_disc_matches_naive():
     assert (cert is not None) == want
 
 
+def _tied_ensemble(seed, rows, n, k, m):
+    # "gaussian" members with whole float entries in -2..2 sharing their first
+    # n-k columns: the float scan meets exact ties among a prefix's suffixes
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, (rows, n)).astype(np.float64)
+    members = []
+    for i in range(m):
+        entries = base.copy()
+        if i:
+            entries[:, n - k:] = rng.integers(-2, 3, (rows, k))
+        members.append(Instance(rows, n, "gaussian", seed, entries))
+    return members
+
+
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("disorder", ["gaussian", "rademacher", "bernoulli"])
+@pytest.mark.parametrize("disorder", ["gaussian", "tied", "rademacher", "bernoulli"])
 def test_shared_prefix_search_returns_the_first_tuple_at_every_block_size(
         disorder, m, monkeypatch):
     # the budget is set so that a block holds 2^c prefixes for each c in
@@ -252,8 +266,12 @@ def test_shared_prefix_search_returns_the_first_tuple_at_every_block_size(
     rows = 3
     for n in (1, 2, 5, 9, 12):
         for k in range(1, n + 1):
-            members = _ensemble(1000 * n + 10 * k + m, rows, n, k, m, disorder,
-                                p=0.5 if disorder == "bernoulli" else None)
+            seed = 1000 * n + 10 * k + m
+            if disorder == "tied":
+                members = _tied_ensemble(seed, rows, n, k, m)
+            else:
+                members = _ensemble(seed, rows, n, k, m, disorder,
+                                    p=0.5 if disorder == "bernoulli" else None)
             work = [mem.entries for mem in members]
             dtype = discrepancy.scan_precision(np.concatenate(work), 0)[0]
             sums = all_sign_vectors(n) @ np.asarray(members[0].entries, dtype=np.float64).T
@@ -269,7 +287,7 @@ def test_shared_prefix_search_returns_the_first_tuple_at_every_block_size(
                 for c in range(n - k + 1):
                     monkeypatch.setattr(discrepancy, "_BLOCK_BYTES",
                                         rows * dtype.itemsize << (c + k))
-                    assert landscape._search_shared_prefix(members, k, threshold) == want
+                    assert discrepancy.first_shared_prefix(members, k, threshold) == want
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -281,13 +299,13 @@ def test_shared_prefix_search_decides_thresholds_at_a_norm_on_the_direct_product
         members = _ensemble(300 + seed, 3, 10, 3, m)
         threshold, hits = 10.0, 0
         while hits < 12:
-            hit = landscape._search_shared_prefix(members, 3, threshold)
+            hit = discrepancy.first_shared_prefix(members, 3, threshold)
             if hit is None:
                 break
             sigma = signs_from_codes([(hit[0] << 3) | s for s in hit[1]], 10, "lex")
             value = max(disc_value(mem, sigma[i]).value for i, mem in enumerate(members))
             assert value <= threshold
-            assert landscape._search_shared_prefix(members, 3, value) == hit
+            assert discrepancy.first_shared_prefix(members, 3, value) == hit
             threshold, hits = np.nextafter(value, 0.0), hits + 1
         assert hits >= 3
 
@@ -359,11 +377,11 @@ def test_ogp_window_type_and_validation():
     base = generate(2, 6, "gaussian", 1)
     fresh = [generate(2, 6, "gaussian", s) for s in (2, 3)]
     with pytest.raises(ParameterError):
-        search_ogp_tuples(base, fresh, [], w)
+        search_ogp_tuples(base, fresh, [], (*w.interval, w.bound, w.m))
     with pytest.raises(CapacityError):
         search_ogp_tuples(generate(2, 20, "gaussian", 1),
                           [generate(2, 20, "gaussian", s) for s in (2, 3)],
-                          [0.0], w)
+                          [0.0], (*w.interval, w.bound, w.m))
 
 
 @pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -2.0])
@@ -433,7 +451,6 @@ def test_integer_scans_decide_no_candidate_twice(monkeypatch):
         raise AssertionError("an integer scan re-decided a candidate")
 
     monkeypatch.setattr(discrepancy, "_direct_value", refuse)
-    monkeypatch.setattr(landscape, "_direct_value", refuse)
     inst = generate(4, 12, "rademacher", 23)
     for t in (2, 2.5):
         want = naive_solution_set(inst.entries, t)

@@ -35,9 +35,13 @@ def test_render_json_roundtrip_floats():
 
 
 def test_render_json_nonfinite():
-    text = render_json({"x": float("inf"), "y": float("nan")})
-    back = json.loads(text)
-    assert back["x"] == float("inf") and math.isnan(back["y"])
+    # NaN and +-inf have no JSON value, at any depth; the writer used to
+    # write NaN and +-Infinity
+    for x in (math.inf, -math.inf, math.nan, np.float32("nan")):
+        for payload in (x, {"a": [1.0, {"b": x}]}, _Holder(np.array([0.5, x]))):
+            with pytest.raises(ParameterError,
+                               match=f"JSON has no value for the float {float(x)!r}"):
+                render_json(payload)
 
 
 @dataclasses.dataclass
@@ -354,7 +358,13 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
     ["theory", "expected-count", "--n", "2000", "--rows", "1", "--m", "2", "--k", "4",
      "--kappa", "10"],
     ["theory", "expected-count", "--n", "2000", "--rows", "1", "--m", "2",
-     "--hamming-delta", "1000", "--K", "100"]])
+     "--hamming-delta", "1000", "--K", "100"],
+    # finite input whose float64 arithmetic underflows, or whose result is not finite
+    ["theory", "psi-disc", "--m", "2", "--beta", "0.5", "--eta", "0.1", "--c", "0.1",
+     "--n", "100", "--rows", "2", "--K", "1e-200"],
+    ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2",
+     "--hamming-delta", "4", "--K", "1e-200"],
+    ["theory", "be-bound", "--length", "1e308", "--rows", "1", "--p", "1e-300"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
