@@ -14,24 +14,32 @@ minimizer in this order.  ``signs_from_codes`` / ``codes_from_signs``
 convert between sign vectors and these "gray" codes, or the searches'
 "lex" codes.
 
-For speed the walk is blocked.  A block is 2^q candidates, with q the
-largest value for which an (M, 2^q) array of the scan dtype fits in
-``_BLOCK_BYTES`` = 2^18 bytes (``_block_bits``; at most n - 1), so the
-fixed cost of a block's few ufunc calls is spread over as many candidates
-as fit in cache whatever M and the dtype are.  The low q Gray bits are
-expanded once into an (M, 2^q) table, column r holding the change of the
-row sums when the set bits of gray(r) flip (``_suffix_table``, "gray"
-order).  Block j adds the row sums of high code gray(j) to every column of
-the table in one preallocated (M, 2^q) buffer and reduces max |.| over the
-M rows (``max_abs_rows``), giving the 2^q candidates' norms in table
-order: column c is the candidate with walk code gray(j) * 2^q + gray(c),
-in every block.  One query, ``_GrayScan.below``, hands every caller the
-codes and norms of a block's candidates scanned at most a bound, in walk
-order.  An even block walks its columns upward and an odd one downward,
-by the reflection identity gray(2^q-1-r) = gray(r) XOR 2^(q-1), so the
-global visiting order is preserved exactly.  ``first_shared_prefix``, the
-scan behind ``landscape``'s shared-prefix searches, blocks its prefixes the
-same way on "lex" tables.
+For speed every search runs on one blocked scan, ``_CubeScan``: in
+"gray" order it walks one instance as above, in "lex" order the shared
+prefixes of an ensemble whose members share their first n - k columns,
+each prefix with every "lex" completion of a member's last k (gray order
+has k = 0).  A block is 2^c consecutive prefixes, c the largest value for
+which an (M, 2^(k+c)) array of the scan dtype fits in ``_BLOCK_BYTES`` =
+2^18 bytes (``_block_bits``), at most the shared free columns, so a
+block's few ufunc calls are spread over as many candidates as fit in cache
+whatever M and the dtype are.  Each member's table is one ``_suffix_table``
+over its k suffix columns then the c low shared columns, an (M, 2^k, 2^c)
+array whose entry (s, p) is the change of the row sums when the columns of
+suffix code s and low code p flip (gray(p) in gray order).  A block's
+head is the all-plus row sums plus a running sum, stepped by -2 (+2)
+times each column whose bit the block code (gray(j) for block j in gray
+order, j in lex order) sets (clears).  That step depends only on the
+lowest set bit b of j and whether the code sets it (lex codes also clear
+the bits below), so the scan keeps one step per case: O(M n) memory and
+one addition per block.  Block j adds the head to every table column in
+one preallocated buffer and reduces max |.| over the M rows
+(``_CubeScan.norms``), giving its candidates' norms in table order.  In
+gray order column p is walk code gray(j) * 2^c + gray(p), and
+``_CubeScan.below`` hands the exact solver and ``enumerate_below`` the codes and norms of a
+block's candidates scanned at most a bound, in walk order: an even block
+walks its columns upward and an odd one downward, by the reflection
+identity gray(2^c-1-p) = gray(p) XOR 2^(c-1).  ``first_shared_prefix``
+reads a lex block's prefixes upward.
 
 Scan dtype (``scan_precision``).  Let S = max_i sum_j |M_ij|; every row
 sum, prefix or suffix sum of a candidate is at most S in absolute value,
@@ -40,9 +48,9 @@ narrowest of int8, int16, int32 and int64 that holds 3S, so the scan is
 exact (3S beyond int64 is a ``ParameterError``); values are reported in
 int64.  Float entries are scanned in float32 (float64 if 3S overflows
 it).  Integer tables are built in the scan dtype; float tables are summed
-in float64 and cast once.  The high-bit running sums stay wide and are
-cast once per block, so the walk drifts by one float64 rounding per
-block, and each block adds one float32 rounding that does not carry over.
+in float64 and cast once.  The running sums stay wide and are cast once
+per block, so the walk drifts by a few float64 roundings per block,
+and each block adds one float32 rounding that does not carry over.
 
 Re-decision.  Every reported value and row-sum vector is ``disc_value``
 of the witness, and a candidate whose scanned norm lies within the
@@ -51,20 +59,19 @@ threshold) is decided on that direct product.  Integer scans have slack
 0.  For floats, let u be the scan dtype's unit roundoff (eps/2), w that
 of float64, and t the scan dtype's smallest subnormal, which bounds the
 absolute error of a rounding in the subnormal range.  A doubled table
-entry over q columns is -2 times a sequential float64 sum of at most q
-of the M_ij (doubling is exact) with partial sums at most S, so it errs
-by at most 2(q - 1) w S; the float64 sum of two such entries over
-disjoint columns, q in all, by 2q w S.  A scanned row sum is a wide head
-plus a wide table entry, each cast once, added in the scan dtype.  The
-exact scan's head is its running sum (n - 1 additions for the start, one
-per block), erring by (steps + n) w S, and its table covers at most
-n - 1 columns.  A ``first_shared_prefix`` head is the all-plus row sums
-(n - 1 additions) plus a high-table entry over q_h columns in one more
-addition, (n + 2 q_h) w S, its member table covers the other n - q_h
-columns, and it takes steps = 0.  With the direct product ``disc_value``
-(n w S) the float64 errors total at most (steps + 4n) w S either way.
-The two casts and the narrow addition add at most u S + 2u S + u S.
-|.| and max over rows are 1-Lipschitz, so
+entry over q <= n columns is -2 times a sequential float64 sum of at most
+q of the M_ij (doubling is exact) with partial sums at most S, so it errs
+by at most 2(n - 1) w S.  A scanned row sum is a head plus a table entry,
+each cast once, added in the scan dtype.  A head is n - 1 additions for
+the all-plus row sums and one per block, each result a row sum of a sign
+vector (at most w S each).  A gray step is exact; a lex step over bit b
+is a float64 sum of b + 1 flipped columns with partial sums at most 2S
+(at most 2b w S), and b averages below 1 over the blocks.  So a head errs
+by (steps + n) w S, with steps the number of blocks in gray order and
+three times it in lex order.  With the direct product ``disc_value``
+(n w S) the float64 errors total at most (steps + 4n) w S.  The two casts
+and the narrow addition add at most u S + 2u S + u S.  |.| and max over
+rows are 1-Lipschitz, so
 
     |scanned norm - disc_value norm| <= (4u + (steps + 4n) w) S + (steps + 4n + 4) t,
 
@@ -210,25 +217,13 @@ def disc_value(inst: Instance, sigma) -> DiscrepancyResult:
 
 def aligned_empty(shape, dtype) -> np.ndarray:
     """An uninitialized array whose data starts on a 64-byte boundary.  numpy
-    aligns to 16 bytes only, and on a 2-core Xeon ``max_abs_rows`` into an
+    aligns to 16 bytes only, and on a 2-core Xeon the scan's add-abs-max in an
     8 x 2^12 float64 buffer off a cache line took 44-49 us, aligned 36-39."""
     dtype = np.dtype(dtype)
-    size = int(np.prod(shape)) * dtype.itemsize
+    size = math.prod(shape if isinstance(shape, tuple) else (shape,)) * dtype.itemsize
     raw = np.empty(size + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start:start + size].view(dtype).reshape(shape)
-
-
-def max_abs_rows(a, b, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = max over axis 0 of |a + b|, evaluated in the preallocated buf.
-
-    The cube-scan kernel: ``a`` and ``b`` broadcast to buf's shape, whose
-    leading axis holds the M rows, so the reduction is an elementwise
-    maximum of contiguous per-row slabs.
-    """
-    np.add(a, b, out=buf)
-    np.abs(buf, out=buf)
-    return np.maximum.reduce(buf, axis=0, out=out)
 
 
 def scan_precision(entries: np.ndarray, steps: int) -> tuple[np.dtype, float]:
@@ -293,52 +288,66 @@ def _block_bits(rows: int, dtype: np.dtype) -> int:
     return max((_BLOCK_BYTES // (rows * dtype.itemsize)).bit_length() - 1, 0)
 
 
-class _GrayScan:
-    """Blocked halved Gray-code walk yielding per-candidate norms in the
-    scan dtype of ``scan_precision``."""
+class _CubeScan:
+    """The module docstring's blocked scan of the ``members``' entries, with
+    norms in the scan dtype of ``scan_precision``."""
 
-    def __init__(self, entries: np.ndarray):
-        m, n = entries.shape
-        self.entries = entries
+    def __init__(self, members: Sequence[np.ndarray], order: str, k: int = 0):
+        m, n = members[0].shape
+        entries = np.concatenate(members)
         self.dtype = scan_precision(entries, 0)[0]
-        self.q = q = min(_block_bits(m, self.dtype), n - 1)
-        self.n_blocks = 1 << (n - 1 - q)
-        self.slack = scan_precision(entries, self.n_blocks)[1]
-        self.table = _suffix_table(entries[:, 1:1 + q], self.dtype, "gray")
-        self.base = entries.sum(axis=1)
+        self.gray = order == "gray"
+        shared = n - 1 if self.gray else n - k         # free columns the members share
+        self.c = c = min(max(_block_bits(m, self.dtype) - k, 0), shared)
+        self.n_blocks = 1 << (shared - c)
+        self.slack = scan_precision(entries, self.n_blocks * (1 if self.gray else 3))[1]
+        if self.gray:   # bit b of the walk code holds column b + 1
+            cols, high = slice(1, 1 + c), slice(1 + c, n)
+        else:   # bit b holds column n - 1 - b, and table entry (s, p) is code (s << c) | p
+            cols, high = np.r_[shared:n, shared - c:shared], np.arange(shared - c)[::-1]
+        self.tables = [_suffix_table(w[:, cols], self.dtype, order) for w in members]
+        # steps[1, b] (steps[0, b]): the running sums' change on entering a block
+        # whose lowest set bit b the code sets (clears), and lex codes clear below b
+        self.steps = np.multiply.outer([2, -2], members[0].T[high])
+        if not self.gray:
+            self.steps[1, 1:] += np.cumsum(self.steps[0, :-1], axis=0)
+        self.base = entries.sum(axis=1).reshape(len(members), m)     # all-plus row sums
+        self.heads = np.empty(self.base.shape + (1,), self.dtype)
+        self.buf = aligned_empty((m, 1 << (k + c)), self.dtype)
+        outs = [aligned_empty(1 << (k + c), self.dtype) for _ in members]
+        self.kernels = [(head, table, out, out.reshape(1 << k, 1 << c))
+                        for head, table, out in zip(self.heads, self.tables, outs)]
 
     def blocks(self):
-        """Yield (j, norms of shape (2^q,)) per block j.
-
-        norms[c] is ||M sigma||_inf, in the scan dtype, of the candidate with
-        high code gray(j) and low code gray(c): table order, the same in
-        every block.  The array is reused by the next block; ``below`` reads
-        it in walk order.
-        """
-        m = self.entries.shape[0]
-        buf = aligned_empty((m, 1 << self.q), self.dtype)
-        norms = aligned_empty(1 << self.q, self.dtype)
-        cur = self.base.copy()                  # wide high-bit row sums
-        head = np.empty((m, 1), dtype=self.dtype)
+        """Yield each block j with the heads stepped to it, for ``norms``."""
+        cur = self.base.copy()                  # wide running row sums
+        heads = self.heads[:, :, 0]
         for j in range(self.n_blocks):
             if j:
-                bit = (j & -j).bit_length() - 1
-                step = -2 if ((j ^ (j >> 1)) >> bit) & 1 else 2     # -2 if gray(j) sets it
-                cur += step * self.entries[:, 1 + self.q + bit]
-            head[:, 0] = cur
-            max_abs_rows(head, self.table, buf, norms)
-            yield j, norms
+                b = (j & -j).bit_length() - 1
+                code = j ^ (j >> 1) if self.gray else j
+                np.add(cur, self.steps[code >> b & 1, b], out=cur)
+            heads[...] = cur
+            yield j
+
+    def norms(self, i: int) -> np.ndarray:
+        """Member i's (2^k, 2^c) norms in this block, entry (s, p) for suffix
+        code s and low code p; the array is reused by the next block."""
+        head, table, out, norms = self.kernels[i]
+        np.add(head, table, out=self.buf)     # the rows are contiguous slabs of buf:
+        np.abs(self.buf, out=self.buf)        # max over them is an elementwise maximum
+        np.maximum.reduce(self.buf, axis=0, out=out)
+        return norms
 
     def below(self, j, norms, bound) -> tuple[np.ndarray, np.ndarray]:
-        """(walk codes, scanned norms) of block j's candidates scanned at
-        most ``bound``, in walk order.  An odd block walks its table columns
-        downward, since its step r visits low code gray(r) XOR (b>>1) =
-        gray(b-1-r)."""
+        """(walk codes, scanned norms) of gray block j's candidates whose norms,
+        a row in table order, are at most ``bound``, in walk order: an odd
+        block's step r visits gray(r) XOR 2^(c-1) = gray(2^c-1-r), downward."""
         c = np.flatnonzero(norms <= bound)
         if j & 1:
             c = c[::-1]
         low = c.astype(np.uint64)
-        return np.uint64((j ^ (j >> 1)) << self.q) | (low ^ (low >> np.uint64(1))), norms[c]
+        return np.uint64((j ^ (j >> 1)) << self.c) | (low ^ (low >> np.uint64(1))), norms[c]
 
 
 def _direct_value(inst: Instance, code, order: str = "gray") -> Union[int, float]:
@@ -368,11 +377,12 @@ def exact_discrepancy(inst: Instance, max_n: Optional[int] = None) -> Discrepanc
     max_n = EXACT_MAX_N if max_n is None else max_n
     if n > max_n:
         raise CapacityError(f"exact solve for n={n} exceeds max_n={max_n}")
-    scan = _GrayScan(inst.entries)
+    scan = _CubeScan([inst.entries], "gray")
     slack = scan.slack
     best = np.inf
     best_code = np.uint64(0)
-    for j, norms in scan.blocks():
+    for j in scan.blocks():
+        norms = scan.norms(0)[0]            # k = 0: one row of 2^c candidates
         v = norms.min()
         if not slack:
             if v < best:
@@ -403,11 +413,11 @@ def enumerate_below(inst: Instance, threshold: float,
     max_n = ENUMERATE_MAX_N if max_n is None else max_n
     if n > max_n:
         raise CapacityError(f"enumeration for n={n} exceeds max_n={max_n}")
-    scan = _GrayScan(inst.entries)
+    scan = _CubeScan([inst.entries], "gray")
     hi, lo = scan_bounds(scan.dtype, threshold, scan.slack)
     found = []
-    for j, norms in scan.blocks():
-        codes, scanned = scan.below(j, norms, hi)
+    for j in scan.blocks():
+        codes, scanned = scan.below(j, scan.norms(0)[0], hi)
         found.append(codes[_admit(inst, codes, scanned, lo, threshold, "gray")])
     del scan            # free its table before the sign matrix is built
     half = signs_from_codes(np.concatenate(found), n, "gray")
@@ -421,42 +431,22 @@ def first_shared_prefix(members: Sequence[Instance], k: int,
     their shape and first n-k columns; sigma_i has the "lex" code
     (prefix << k) | suffixes[i], and membership is that of ``disc_value``.
 
-    A blocked scan as in ``_GrayScan``: a block is the 2^c prefixes sharing
-    their high n-k-c columns, c + k the largest exponent that keeps an
-    (M, 2^(c+k)) scan array within ``_BLOCK_BYTES`` (0 <= c <= n-k).  Lex
-    tables (``_suffix_table``): each member's over its k suffix columns then
-    the c low prefix columns, one broadcast add of its suffix table and the
-    shared low-prefix table; and a shared one over the high columns, which
-    plus a member's all-plus row sums is its head for each block.  Entry
-    (s, p) of a member's (2^k, 2^c) block norms is low prefix p with suffix
-    s; a prefix survives when every member has a norm <= the filter bound
-    in its column, and survivors are decided in order by ``_admit``.
+    The "lex" ``_CubeScan`` of the members: a prefix of a block survives
+    when every member has a norm <= the filter bound in its column, and
+    survivors are decided in order by ``_admit``.
     """
-    n_pref = members[0].cols - k
-    work = [mem.entries for mem in members]
-    dtype, slack = scan_precision(np.concatenate(work), 0)
-    hi, lo = scan_bounds(dtype, threshold, slack)
-    m_rows = members[0].rows
-    c = min(max(_block_bits(m_rows, dtype) - k, 0), n_pref)
-    shape = (m_rows, 1 << k, 1 << c)
-    # float tables are summed in float64; the integer scan dtype holds every entry
-    wide = np.dtype(np.float64) if dtype.kind == "f" else dtype
-    high = _suffix_table(work[0][:, :n_pref - c], wide, "lex")
-    heads = [(w.sum(axis=1)[:, None] + high).astype(dtype) for w in work]
-    low = _suffix_table(work[0][:, n_pref - c:n_pref], wide, "lex")[:, None, :]
-    tables = [np.add(_suffix_table(w[:, n_pref:], wide, "lex")[:, :, None], low,
-                     out=aligned_empty(shape, dtype), casting="same_kind") for w in work]
-    buf = aligned_empty(shape, dtype)
-    norms = [aligned_empty(shape[1:], dtype) for _ in work]
-    for h in range(high.shape[1]):
-        ok = np.ones(1 << c, dtype=bool)
-        for head, table, vals in zip(heads, tables, norms):
-            max_abs_rows(head[:, h, None, None], table, buf, vals)
-            ok &= np.logical_or.reduce(vals <= hi, axis=0)
+    scan = _CubeScan([mem.entries for mem in members], "lex", k)
+    hi, lo = scan_bounds(scan.dtype, threshold, scan.slack)
+    for h in scan.blocks():
+        ok = np.ones(1 << scan.c, dtype=bool)
+        norms = []
+        for i in range(len(members)):
+            norms.append(scan.norms(i))
+            ok &= np.logical_or.reduce(norms[i] <= hi, axis=0)
             if not ok.any():
                 break
         for p in ok.nonzero()[0]:
-            prefix = (h << c) | int(p)
+            prefix = (h << scan.c) | int(p)
             suffixes = []
             for mem, vals in zip(members, norms):
                 col = vals[:, p]
@@ -470,11 +460,16 @@ def first_shared_prefix(members: Sequence[Instance], k: int,
     return None
 
 
-def sbp_membership(inst: Instance, sigma, kappa: float) -> bool:
-    """max_i |<row_i, sigma>| <= kappa * sqrt(n), inclusive, no epsilon."""
+def require_gaussian(inst: Instance) -> None:
+    """Perceptron (SBP) membership is defined for gaussian disorder only."""
     if inst.disorder != "gaussian":
         raise UnsupportedDisorderError(
             f"perceptron membership is defined for gaussian disorder, got {inst.disorder!r}")
+
+
+def sbp_membership(inst: Instance, sigma, kappa: float) -> bool:
+    """max_i |<row_i, sigma>| <= kappa * sqrt(n), inclusive, no epsilon."""
+    require_gaussian(inst)
     if not 0 < kappa < math.inf:
         raise ParameterError(f"kappa must be positive and finite, got {kappa}")
     res = disc_value(inst, sigma)

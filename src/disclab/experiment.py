@@ -21,7 +21,7 @@ import os
 from types import SimpleNamespace
 from typing import Optional
 
-from .discrepancy import enumerate_solutions, exact_discrepancy
+from .discrepancy import enumerate_solutions, exact_discrepancy, require_gaussian
 from .errors import ParameterError
 from .instances import _check_dims, _check_disorder, generate
 from .online import make_algorithm, run_online
@@ -73,7 +73,8 @@ def exact_payload(params, inst) -> dict:
 
 def count_payload(params, inst, listed: bool = False) -> dict:
     """The solution count at ``params.kappa``, and the solutions when
-    ``listed`` (``sbp --list``)."""
+    ``listed`` (``sbp --list``), of a gaussian instance."""
+    require_gaussian(inst)
     sols = enumerate_solutions(inst, params.kappa, max_n=params.max_n)
     payload = {"kappa": params.kappa, "count": int(sols.shape[0])}
     if listed:

@@ -7,7 +7,8 @@ are byte-identical.  A dataclass is an object of its fields in
 declaration order; an int8 array is a sign vector and becomes a sign
 string, one per row when it is 2-d; any other array becomes a flat list;
 numpy scalars are their Python values; NaN and +-inf have no JSON value
-and are a ``ParameterError``.  These rules hold at any depth.
+and are a ``ParameterError`` that names the field holding them, as in
+``results[0].value``.  These rules hold at any depth.
 ``emit_report`` writes a histogram in the CSV layout
 ``bin_lo,bin_hi,count`` and every other result as JSON.
 """
@@ -26,20 +27,22 @@ from .errors import ParameterError
 from .landscape import Histogram
 
 
-def render_json(value: Any, indent: int = 0) -> str:
-    """Canonical JSON text; dict order preserved, floats at 17 digits."""
+def render_json(value: Any, indent: int = 0, at: str = "") -> str:
+    """Canonical JSON text; dict order preserved, floats at 17 digits.
+    ``at`` is the path of ``value`` in the whole, for error messages."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = ",\n".join(
-            f'{inner}"{k}": {render_json(v, indent + 2)}' for k, v in value.items())
+            f'{inner}"{k}": {render_json(v, indent + 2, f"{at}.{k}" if at else str(k))}'
+            for k, v in value.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [render_json(v, indent + 2) for v in value]
+        items = [render_json(v, indent + 2, f"{at}[{i}]") for i, v in enumerate(value)]
         # a short list of scalars stays on one line; an object or array opens with { or [
         if len(items) <= 16 and not any(s[0] in "[{" for s in items):
             return "[" + ", ".join(items) + "]"
@@ -52,7 +55,8 @@ def render_json(value: Any, indent: int = 0) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
-            raise ParameterError(f"JSON has no value for the float {float(value)!r}")
+            raise ParameterError(f"JSON has no value for the float {float(value)!r}"
+                                 + (f" at {at}" if at else ""))
         return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
@@ -62,10 +66,10 @@ def render_json(value: Any, indent: int = 0) -> str:
             return render_json(signs, indent)
         flat = value.ravel()
         return render_json([int(v) for v in flat] if flat.dtype.kind in "iub"
-                           else [float(v) for v in flat], indent)
+                           else [float(v) for v in flat], indent, at)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return render_json({f.name: getattr(value, f.name)
-                            for f in dataclasses.fields(value)}, indent)
+                            for f in dataclasses.fields(value)}, indent, at)
     raise ParameterError(f"cannot serialize value of type {type(value)!r}")
 
 

@@ -11,7 +11,7 @@ from disclab import (CapacityError, Instance, ParameterError,
                      enumerate_solutions, exact_discrepancy, generate, parse_sign_string,
                      sbp_membership, search_xi_sbp, sign_string)
 from disclab import discrepancy
-from disclab.discrepancy import (_GrayScan, _suffix_table, aligned_empty,
+from disclab.discrepancy import (_CubeScan, _suffix_table, aligned_empty,
                                  codes_from_signs, scan_precision, signs_from_codes)
 from oracles import (gray_first_minimizer, gray_suffix_table, gray_walk_solutions,
                      lex_suffix_table, naive_disc_value, naive_exact_value, naive_solution_set)
@@ -96,7 +96,7 @@ def test_exact_multi_block_path(monkeypatch):
     for budget in BLOCK_BUDGETS:
         with monkeypatch.context() as mp:
             _set_budget(mp, budget)
-            assert (_GrayScan(inst.entries).n_blocks > 1) == (budget is not None)
+            assert (_CubeScan([inst.entries], "gray").n_blocks > 1) == (budget is not None)
             res = exact_discrepancy(inst)
         assert res.value == want[0]
         assert np.array_equal(res.argmin, want[1])
@@ -124,7 +124,7 @@ def test_every_block_size_gives_the_same_answers(disorder, budget, monkeypatch):
         inst = generate(1 + n % 4, n, disorder, 100 + n,
                         p=0.5 if disorder == "bernoulli" else None)
         threshold = disc_value(inst, signs_from_codes([(1 << n) // 3], n, "lex")[0]).value
-        assert _GrayScan(inst.entries).n_blocks == 1
+        assert _CubeScan([inst.entries], "gray").n_blocks == 1
         want = enumerate_below(inst, threshold)
         with monkeypatch.context() as mp:
             mp.setattr(discrepancy, "_BLOCK_BYTES", budget)
@@ -180,9 +180,9 @@ def test_suffix_table_matches_its_definition(disorder, order, monkeypatch):
         table = _suffix_table(cols, dtype, order)
         if order == "gray":
             monkeypatch.setattr(discrepancy, "_BLOCK_BYTES", 5 * dtype.itemsize << q)
-            scan = _GrayScan(entries)
-            assert scan.q == q and scan.dtype == dtype
-            assert np.array_equal(scan.table, table)
+            scan = _CubeScan([entries], "gray")
+            assert scan.c == q and scan.dtype == dtype
+            assert np.array_equal(scan.tables[0], table)
             want = gray_suffix_table(entries, q)
         else:
             want = lex_suffix_table(cols)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,21 @@ def test_shared_prefix_search_decides_thresholds_at_a_norm_on_the_direct_product
             assert discrepancy.first_shared_prefix(members, 3, value) == hit
             threshold, hits = np.nextafter(value, 0.0), hits + 1
         assert hits >= 3
+
+
+def test_exhausting_shared_prefix_search_holds_no_head_per_prefix(monkeypatch):
+    # a block of one prefix (c = 0) at 2x16, k = 1 makes 2^15 blocks; one
+    # float32 head per prefix would be 256 KiB per member, the scan's running
+    # sums are O(M) per member
+    members = _ensemble(5, 2, 16, 1, 2)
+    monkeypatch.setattr(discrepancy, "_BLOCK_BYTES", 2 * 4 << 1)
+    tracemalloc.start()
+    try:
+        assert discrepancy.first_shared_prefix(members, 1, 0.0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 15) * 2 * 4 // 8
 
 
 # -- overlap-window searches --------------------------------------------------

@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from disclab import (ParameterError, exact_discrepancy, generate,
-                     overlap_histogram, psi_sbp, enumerate_solutions)
+from disclab import (ParameterError, exact_discrepancy, generate, overlap_histogram,
+                     psi_sbp, enumerate_solutions, resample_suffix, search_xi_sbp)
 import disclab
 from disclab.cli import build_parser, main
 from disclab.experiment import parse_config, parse_seed_range, run_experiment
+from disclab.philox import derive_seed
 from disclab.reports import emit_report, histogram_csv, render_json
 
 
@@ -42,6 +43,20 @@ def test_render_json_nonfinite():
             with pytest.raises(ParameterError,
                                match=f"JSON has no value for the float {float(x)!r}"):
                 render_json(payload)
+
+
+def test_render_json_nonfinite_names_its_field():
+    # the refusal says where the value sits: dict keys and dataclass fields
+    # joined by dots, list and array positions in brackets
+    with pytest.raises(ParameterError, match=r"float -inf at log2_value$"):
+        render_json({"value": 0.0, "log2_value": -math.inf})
+    payload = {"results": [{"x": 1.0}, {"a": {"b": [2.0, math.inf]}}]}
+    with pytest.raises(ParameterError, match=r"float inf at results\[1\]\.a\.b\[1\]$"):
+        render_json(payload)
+    with pytest.raises(ParameterError, match=r"float nan at runs\[0\]\.x\[2\]$"):
+        render_json({"runs": [_Holder(np.array([0.5, 1.0, np.nan]))]})
+    with pytest.raises(ParameterError, match=r"float nan at x$"):
+        render_json(_Holder(math.nan))
 
 
 @dataclasses.dataclass
@@ -364,7 +379,9 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
      "--n", "100", "--rows", "2", "--K", "1e-200"],
     ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2",
      "--hamming-delta", "4", "--K", "1e-200"],
-    ["theory", "be-bound", "--length", "1e308", "--rows", "1", "--p", "1e-300"]])
+    ["theory", "be-bound", "--length", "1e308", "--rows", "1", "--p", "1e-300"],
+    # perceptron membership is gaussian only; the count used to print 288 and exit 0
+    ["sbp", "--rows", "3", "--cols", "10", "--disorder", "rademacher", "--kappa", "1"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -554,6 +571,18 @@ def test_cli_xi_default_seed_and_instance_file(mode, disorder, bound, tmp_path, 
     assert main(["gen", *shape, "--seed", "0", "--out", str(path)]) == 0
     assert main(search + ["--in", str(path)]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_cli_xi_sbp_output_rebuilds_from_the_documented_seeds(capsys):
+    # README: member i >= 1 of an xi ensemble redraws its suffix from
+    # derive_seed(seed, i, 1); the library call gives the command's bytes
+    assert main(["landscape", "xi-sbp", "--rows", "4", "--cols", "12", "--seed", "9",
+                 "--k", "4", "--m", "3", "--kappa", "1.0"]) == 0
+    out = capsys.readouterr().out
+    base = generate(4, 12, "gaussian", 9)
+    members = resample_suffix(base, 4, 3, [derive_seed(9, i, 1) for i in (1, 2)])
+    cert = search_xi_sbp(members, 4, 1.0)
+    assert cert is not None and out == emit_report(cert)
 
 
 _GOOD_CONFIG = {"kind": "exact", "rows": 2, "cols": 6, "seeds": [1, 2]}
