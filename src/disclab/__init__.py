@@ -13,7 +13,8 @@ from .discrepancy import (DiscrepancyResult, disc_value, enumerate_below,
 from .errors import (CapacityError, ContractViolationError, InstanceFormatError,
                      ParameterError, UnsupportedDisorderError)
 from .instances import (Instance, generate, generate_batch, interpolate,
-                        load_instance, resample_suffix, save_instance)
+                        load_instance, ogp_ensemble, resample_suffix, save_instance,
+                        stability_trial, suffix_ensemble)
 from .landscape import (Histogram, OgpWindow, StabilityReport, TupleCertificate,
                         default_angle_grid, overlap_histogram, search_ogp_tuples,
                         search_xi_disc, search_xi_sbp, stability_probe,

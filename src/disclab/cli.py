@@ -25,9 +25,9 @@ from .discrepancy import enumerate_solutions, parse_sign_string, sbp_membership
 from .errors import CapacityError, ParameterError
 from .experiment import (count_payload, exact_payload, load_config, online_payload,
                          parse_seed_range, run_experiment)
-from .instances import DISORDERS, generate, load_instance, resample_suffix, save_instance
+from .instances import (DISORDERS, generate, load_instance, ogp_ensemble, save_instance,
+                        suffix_ensemble)
 from .online import ALGORITHMS, make_algorithm
-from .philox import derive_seed
 from .reports import emit_report
 
 
@@ -85,13 +85,8 @@ def _task_histogram(args):
     return landscape.overlap_histogram(sols, args.bins)
 
 
-def _ensemble(args, base, k):
-    seeds = [derive_seed(args.seed, i, 1) for i in range(1, args.m)]
-    return resample_suffix(base, k, args.m, seeds)
-
-
 def _task_xi_sbp(args):
-    members = _ensemble(args, _instance_from(args), args.k)
+    members = suffix_ensemble(_instance_from(args), args.k, args.m, args.seed)
     cert = landscape.search_xi_sbp(members, args.k, args.kappa, max_n=args.max_n)
     return cert or {"found": False}
 
@@ -99,15 +94,13 @@ def _task_xi_sbp(args):
 def _task_xi_disc(args):
     base = _instance_from(args)
     k = args.k if args.k is not None else base.rows
-    cert = landscape.search_xi_disc(_ensemble(args, base, k), k, args.cu,
+    cert = landscape.search_xi_disc(suffix_ensemble(base, k, args.m, args.seed), k, args.cu,
                                     max_n=args.max_n)
     return cert or {"found": False}
 
 
 def _task_ogp(args):
-    base = generate(args.rows, args.cols, "gaussian", args.seed)
-    fresh = [generate(args.rows, args.cols, "gaussian", derive_seed(args.seed, i, 2))
-             for i in range(args.m)]
+    base, fresh = ogp_ensemble(args.rows, args.cols, args.m, args.seed)
     window = landscape.OgpWindow(beta=args.beta, eta=args.eta, bound=args.K, m=args.m)
     grid = landscape.default_angle_grid(args.grid)
     cert = landscape.search_ogp_tuples(base, fresh, grid,

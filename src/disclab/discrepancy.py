@@ -478,7 +478,8 @@ def sbp_membership(inst: Instance, sigma, kappa: float) -> bool:
 
 def enumerate_solutions(inst: Instance, kappa: float,
                         max_n: Optional[int] = None) -> np.ndarray:
-    """The full solution set {sigma : ||M sigma||_inf <= kappa sqrt(n)}."""
+    """The solution set {sigma : ||M sigma||_inf <= kappa sqrt(n)} of a gaussian instance."""
+    require_gaussian(inst)
     if not 0 < kappa < math.inf:
         raise ParameterError(f"kappa must be positive and finite, got {kappa}")
     return enumerate_below(inst, kappa * np.sqrt(inst.cols), max_n=max_n)

@@ -21,7 +21,7 @@ import os
 from types import SimpleNamespace
 from typing import Optional
 
-from .discrepancy import enumerate_solutions, exact_discrepancy, require_gaussian
+from .discrepancy import enumerate_solutions, exact_discrepancy
 from .errors import ParameterError
 from .instances import _check_dims, _check_disorder, generate
 from .online import make_algorithm, run_online
@@ -34,8 +34,8 @@ def _is_int(value) -> bool:
 
 
 def parse_seed_range(spec) -> list[int]:
-    """Accept [a, b, ...] lists of seeds or an inclusive "A..B" string with
-    B >= A.  Every seed must be an integer in [0, 2^64)."""
+    """Accept [a, b, ...] lists of distinct seeds or an inclusive "A..B"
+    string with B >= A.  Every seed must be an integer in [0, 2^64)."""
     if isinstance(spec, str):
         lo, _, hi = spec.partition("..")
         try:
@@ -52,6 +52,8 @@ def parse_seed_range(spec) -> list[int]:
                              f"got {spec!r}")
     if not all(_is_word(s, 64) for s in ends):
         raise ParameterError(f"seeds must be integers in [0, 2^64), got {spec!r}")
+    if seeds is spec and len(set(spec)) < len(spec):    # a range never repeats
+        raise ParameterError(f"seeds must not repeat, got {spec!r}")
     return list(seeds)
 
 
@@ -74,7 +76,6 @@ def exact_payload(params, inst) -> dict:
 def count_payload(params, inst, listed: bool = False) -> dict:
     """The solution count at ``params.kappa``, and the solutions when
     ``listed`` (``sbp --list``), of a gaussian instance."""
-    require_gaussian(inst)
     sols = enumerate_solutions(inst, params.kappa, max_n=params.max_n)
     payload = {"kappa": params.kappa, "count": int(sols.shape[0])}
     if listed:

@@ -22,6 +22,11 @@ Correlated ensembles come in two flavours:
   instance exactly and redraw the last k columns from per-member seeds;
 * angular interpolation -- cos(tau) * base + sin(tau) * fresh, defined
   for gaussian disorder only (it preserves the N(0,1) marginals).
+
+Three recipes fix the derived seeds (``philox.derive_seed``) of the
+ensembles the ``landscape`` commands run, so a library call rebuilds them:
+``suffix_ensemble`` (xi-sbp, xi-disc), ``ogp_ensemble`` (ogp) and
+``stability_trial`` (one trial of ``landscape.stability_probe``).
 """
 
 from __future__ import annotations
@@ -219,6 +224,25 @@ def interpolate(base: Instance, fresh: Instance, tau: float) -> Instance:
     else:
         c, s = np.cos(tau), np.sin(tau)
     return Instance(base.rows, base.cols, "gaussian", None, c * base.entries + s * fresh.entries)
+
+
+def suffix_ensemble(base: Instance, k: int, m: int, seed: int) -> list[Instance]:
+    """``resample_suffix`` with member i >= 1 drawn from derive_seed(seed, i, 1)."""
+    return resample_suffix(base, k, m, [philox.derive_seed(seed, i, 1) for i in range(1, m)])
+
+
+def ogp_ensemble(rows: int, cols: int, m: int, seed: int) -> tuple[Instance, list[Instance]]:
+    """The gaussian base of ``seed`` and partner i = 0..m-1 of derive_seed(seed, i, 2)."""
+    return generate(rows, cols, "gaussian", seed), [
+        generate(rows, cols, "gaussian", philox.derive_seed(seed, i, 2)) for i in range(m)]
+
+
+def stability_trial(rows: int, cols: int, tau: float, seed: int,
+                    t: int) -> tuple[Instance, Instance, int]:
+    """Trial t: base derive_seed(seed, t, 0), at tau toward (seed, t, 1), aux (seed, t, 2)."""
+    base = generate(rows, cols, "gaussian", philox.derive_seed(seed, t, 0))
+    fresh = generate(rows, cols, "gaussian", philox.derive_seed(seed, t, 1))
+    return base, interpolate(base, fresh, tau), philox.derive_seed(seed, t, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import philox
 from .discrepancy import (codes_from_signs, disc_value, enumerate_below,
                           first_shared_prefix, signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
-from .instances import Instance, _check_dims, generate, interpolate
+from .instances import Instance, _check_dims, interpolate, stability_trial
 from .online import run_online_batch
 
 XI_MAX_N = 22
@@ -443,12 +442,8 @@ def stability_probe(alg, rho: float, trials: int, n: int, rows: int,
     for start in range(0, trials, chunk):
         k = min(chunk, trials - start)
         for j, t in enumerate(range(start, start + k)):
-            base = generate(rows, n, "gaussian", philox.derive_seed(seed, t, 0))
-            freshen = generate(rows, n, "gaussian", philox.derive_seed(seed, t, 1))
-            pert = interpolate(base, freshen, tau)
-            pairs[j, 0] = base.entries
-            pairs[j, 1] = pert.entries
-            omegas[j] = philox.derive_seed(seed, t, 2)
+            base, pert, omegas[j] = stability_trial(rows, n, tau, seed, t)
+            pairs[j, 0], pairs[j, 1] = base.entries, pert.entries
             fro[t] = float(np.linalg.norm(base.entries - pert.entries))
         signs, sums = run_online_batch(alg, pairs[:k].reshape(2 * k, rows, n),
                                        omegas[:k].reshape(2 * k))

@@ -314,7 +314,9 @@ def test_enumerate_below_integer_threshold_exact():
 
 def test_enumerate_capacity_error():
     with pytest.raises(CapacityError):
-        enumerate_solutions(generate(2, 27, "rademacher", 1), 1.0)
+        enumerate_below(generate(2, 27, "rademacher", 1), 1.0)
+    with pytest.raises(CapacityError):
+        enumerate_solutions(generate(2, 27, "gaussian", 1), 1.0)
 
 
 def test_sign_string_roundtrip():

@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from disclab import (ParameterError, exact_discrepancy, generate, overlap_histogram,
-                     psi_sbp, enumerate_solutions, resample_suffix, search_xi_sbp)
+from disclab import (ParameterError, default_angle_grid, exact_discrepancy, generate,
+                     interpolate, make_algorithm, overlap_histogram, psi_sbp,
+                     enumerate_solutions, resample_suffix, run_online, search_ogp_tuples,
+                     search_xi_disc, search_xi_sbp)
 import disclab
 from disclab.cli import build_parser, main
 from disclab.experiment import parse_config, parse_seed_range, run_experiment
@@ -381,7 +383,10 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
      "--hamming-delta", "4", "--K", "1e-200"],
     ["theory", "be-bound", "--length", "1e308", "--rows", "1", "--p", "1e-300"],
     # perceptron membership is gaussian only; the count used to print 288 and exit 0
-    ["sbp", "--rows", "3", "--cols", "10", "--disorder", "rademacher", "--kappa", "1"]])
+    ["sbp", "--rows", "3", "--cols", "10", "--disorder", "rademacher", "--kappa", "1"],
+    # and so is the solution set: the histogram used to pair 41,328 and exit 0
+    ["landscape", "histogram", "--rows", "3", "--cols", "10", "--disorder", "rademacher",
+     "--kappa", "1", "--bins", "4"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -573,16 +578,69 @@ def test_cli_xi_default_seed_and_instance_file(mode, disorder, bound, tmp_path, 
     assert capsys.readouterr().out == want
 
 
-def test_cli_xi_sbp_output_rebuilds_from_the_documented_seeds(capsys):
-    # README: member i >= 1 of an xi ensemble redraws its suffix from
-    # derive_seed(seed, i, 1); the library call gives the command's bytes
-    assert main(["landscape", "xi-sbp", "--rows", "4", "--cols", "12", "--seed", "9",
-                 "--k", "4", "--m", "3", "--kappa", "1.0"]) == 0
-    out = capsys.readouterr().out
+def _xi_sbp_from_documented_seeds():
     base = generate(4, 12, "gaussian", 9)
     members = resample_suffix(base, 4, 3, [derive_seed(9, i, 1) for i in (1, 2)])
     cert = search_xi_sbp(members, 4, 1.0)
-    assert cert is not None and out == emit_report(cert)
+    assert cert is not None
+    return emit_report(cert)
+
+
+def _xi_disc_from_documented_seeds():
+    base = generate(4, 12, "rademacher", 9)
+    members = resample_suffix(base, 4, 3, [derive_seed(9, i, 1) for i in (1, 2)])
+    cert = search_xi_disc(members, 4, 1.0)
+    assert cert is not None
+    return emit_report(cert)
+
+
+def _ogp_from_documented_seeds():
+    base = generate(3, 10, "gaussian", 9)
+    fresh = [generate(3, 10, "gaussian", derive_seed(9, i, 2)) for i in (0, 1)]
+    cert = search_ogp_tuples(base, fresh, default_angle_grid(4), (0.5, 0.75, 1.5, 2))
+    assert cert is not None
+    return emit_report(cert)
+
+
+def _stability_from_documented_seeds():
+    # the per-trial columns; the statistics are functions of them
+    tau, d_h, fro, ok = math.acos(0.9), [], [], []
+    for t in range(5):
+        base = generate(3, 16, "gaussian", derive_seed(9, t, 0))
+        pert = interpolate(base, generate(3, 16, "gaussian", derive_seed(9, t, 1)), tau)
+        runs = [run_online(make_algorithm("greedy", None), inst, omega=derive_seed(9, t, 2))
+                for inst in (base, pert)]
+        d_h.append(int(np.count_nonzero(runs[0].sigma != runs[1].sigma)))
+        fro.append(float(np.linalg.norm(base.entries - pert.entries)))
+        ok.append([run.value <= 1.5 for run in runs])
+    return {"success_rate": float(np.mean([o[0] for o in ok])),
+            "success_rate_perturbed": float(np.mean([o[1] for o in ok])),
+            "d_hamming": d_h, "frobenius": fro}
+
+
+@pytest.mark.parametrize("argv, rebuild", [
+    (["xi-sbp", "--rows", "4", "--cols", "12", "--seed", "9", "--k", "4", "--m", "3",
+      "--kappa", "1.0"], _xi_sbp_from_documented_seeds),
+    (["xi-disc", "--rows", "4", "--cols", "12", "--disorder", "rademacher", "--seed", "9",
+      "--k", "4", "--m", "3", "--cu", "1.0"], _xi_disc_from_documented_seeds),
+    (["ogp", "--rows", "3", "--cols", "10", "--seed", "9", "--beta", "0.75", "--eta", "0.25",
+      "--K", "1.5", "--grid", "4"], _ogp_from_documented_seeds),
+    (["stability", "--rho", "0.9", "--trials", "5", "--rows", "3", "--cols", "16",
+      "--threshold", "1.5", "--seed", "9"], _stability_from_documented_seeds)],
+    ids=["xi-sbp", "xi-disc", "ogp", "stability"])
+def test_cli_ensemble_output_rebuilds_from_the_documented_seeds(argv, rebuild, capsys):
+    # README: member i >= 1 of an xi ensemble redraws its suffix from
+    # derive_seed(seed, i, 1), ogp partner i is derive_seed(seed, i, 2), and
+    # stability trial t draws derive_seed(seed, t, 0), (seed, t, 1) and aux
+    # seed (seed, t, 2); library calls on those seeds give the command's output
+    assert main(["landscape", *argv]) == 0
+    out = capsys.readouterr().out
+    want = rebuild()
+    if isinstance(want, str):
+        assert out == want
+    else:
+        got = json.loads(out)
+        assert {key: got[key] for key in want} == want
 
 
 _GOOD_CONFIG = {"kind": "exact", "rows": 2, "cols": 6, "seeds": [1, 2]}
@@ -606,6 +664,8 @@ BAD_CONFIGS = {
     "online-negative-kappa": json.dumps({**_ONLINE_CONFIG, "kappa": -1.0}),
     "sbp-count-infinite-kappa": json.dumps({**_GOOD_CONFIG, "kind": "sbp-count",
                                             "kappa": math.inf}),
+    # it used to list exact_1.json twice in the manifest, over one file
+    "seeds-repeated": json.dumps({**_GOOD_CONFIG, "seeds": [1, 1]}),
 }
 
 
