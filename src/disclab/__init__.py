@@ -20,8 +20,7 @@ from .landscape import (Histogram, OgpWindow, StabilityReport, TupleCertificate,
                         search_xi_disc, search_xi_sbp, stability_probe,
                         verify_certificate)
 from .online import (ALGORITHMS, GreedyOnline, OnlineResult, PotentialOnline,
-                     RandomSigningOnline, make_algorithm, random_signing,
-                     run_greedy_batch, run_online, run_online_batch)
+                     RandomSigningOnline, make_algorithm, run_online, run_online_batch)
 from .theory import (CovarianceReport, CovarianceSpec, ExponentReport, McEstimate,
                      OgpParams, StableConstants, TupleCountEstimate, alpha_c,
                      berry_esseen_bound, binary_entropy, box_probability_quadrature,

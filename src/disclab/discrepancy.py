@@ -460,26 +460,24 @@ def first_shared_prefix(members: Sequence[Instance], k: int,
     return None
 
 
-def require_gaussian(inst: Instance) -> None:
-    """Perceptron (SBP) membership is defined for gaussian disorder only."""
+def sbp_threshold(inst: Instance, kappa: float) -> float:
+    """The perceptron bound kappa * sqrt(n) of ``inst``: the one check that
+    the disorder is gaussian and kappa lies in (0, inf)."""
     if inst.disorder != "gaussian":
         raise UnsupportedDisorderError(
             f"perceptron membership is defined for gaussian disorder, got {inst.disorder!r}")
+    if not 0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
+    return kappa * math.sqrt(inst.cols)
 
 
 def sbp_membership(inst: Instance, sigma, kappa: float) -> bool:
     """max_i |<row_i, sigma>| <= kappa * sqrt(n), inclusive, no epsilon."""
-    require_gaussian(inst)
-    if not 0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
-    res = disc_value(inst, sigma)
-    return bool(res.value <= kappa * np.sqrt(inst.cols))
+    threshold = sbp_threshold(inst, kappa)
+    return bool(disc_value(inst, sigma).value <= threshold)
 
 
 def enumerate_solutions(inst: Instance, kappa: float,
                         max_n: Optional[int] = None) -> np.ndarray:
     """The solution set {sigma : ||M sigma||_inf <= kappa sqrt(n)} of a gaussian instance."""
-    require_gaussian(inst)
-    if not 0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
-    return enumerate_below(inst, kappa * np.sqrt(inst.cols), max_n=max_n)
+    return enumerate_below(inst, sbp_threshold(inst, kappa), max_n=max_n)

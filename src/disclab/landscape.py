@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .discrepancy import (codes_from_signs, disc_value, enumerate_below,
-                          first_shared_prefix, signs_from_codes)
+                          first_shared_prefix, sbp_threshold, signs_from_codes)
 from .errors import CapacityError, ParameterError, UnsupportedDisorderError
 from .instances import Instance, _check_dims, interpolate, stability_trial
 from .online import run_online_batch
@@ -233,14 +233,19 @@ def verify_certificate(cert: TupleCertificate, instances: Sequence[Instance],
 # Shared-prefix searches (suffix-resampled ensembles)
 # ---------------------------------------------------------------------------
 
+def _first_member(members: Sequence[Instance]) -> Instance:
+    """The first member of an ensemble, which must have at least 2."""
+    if len(members) < 2:
+        raise ParameterError("need at least 2 ensemble members")
+    return members[0]
+
+
 def _shared_prefix_certificate(members: Sequence[Instance], k: int, threshold: float,
                                max_n: Optional[int]) -> Optional[TupleCertificate]:
     n = members[0].cols
     max_n = XI_MAX_N if max_n is None else max_n
     if n > max_n:
         raise CapacityError(f"tuple search for n={n} exceeds max_n={max_n}")
-    if len(members) < 2:
-        raise ParameterError("need at least 2 ensemble members")
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}")
     for mem in members[1:]:
@@ -265,11 +270,8 @@ def search_xi_sbp(members: Sequence[Instance], k: int, kappa: float,
     Exhausts the 2^(n-k) common prefixes crossed with per-member suffix
     completions; threshold kappa * sqrt(n), inclusive.
     """
-    if members[0].disorder != "gaussian":
-        raise UnsupportedDisorderError("perceptron tuple search needs gaussian disorder")
-    if not 0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be positive and finite, got {kappa}")
-    return _shared_prefix_certificate(members, k, kappa * math.sqrt(members[0].cols), max_n)
+    threshold = sbp_threshold(_first_member(members), kappa)
+    return _shared_prefix_certificate(members, k, threshold, max_n)
 
 
 def search_xi_disc(members: Sequence[Instance], k: int, c_u: float,
@@ -278,11 +280,12 @@ def search_xi_disc(members: Sequence[Instance], k: int, c_u: float,
     for integer (rademacher / bernoulli) disorder; comparisons are exact
     integer arithmetic against the float threshold.  ``max_n`` is as in
     ``search_xi_sbp``."""
-    if members[0].disorder == "gaussian":
+    first = _first_member(members)
+    if first.disorder == "gaussian":
         raise UnsupportedDisorderError("discrepancy tuple search needs integer disorder")
     if not 0 < c_u < math.inf:
         raise ParameterError(f"c_u must be positive and finite, got {c_u}")
-    return _shared_prefix_certificate(members, k, c_u * math.sqrt(members[0].rows), max_n)
+    return _shared_prefix_certificate(members, k, c_u * math.sqrt(first.rows), max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +336,15 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
     may be degenerate, the positive finite discrepancy bound and the tuple
     size (an ``OgpWindow`` w gives ``(*w.interval, w.bound, w.m)``).  Each
     member's candidate set is the union over the angle grid of its solution
-    sets; the recorded angle is the first witness in grid order.
+    sets; member i's recorded angle is the first grid angle at which
+    ``disc_value`` of its sign vector is at most the bound.
     """
     lo, hi, threshold, m = window
     threshold = float(threshold)
     if not 0 < threshold < math.inf:
         raise ParameterError(f"threshold must be positive and finite, got {threshold}")
+    if m < 2:
+        raise ParameterError(f"tuple size m must be >= 2, got {m}")
     if len(fresh) != m:
         raise ParameterError(f"need {m} fresh instances, got {len(fresh)}")
     if len(angles) == 0:
@@ -348,17 +354,18 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
     if n > cap:
         raise CapacityError(f"tuple search for n={n} exceeds max_n={cap}")
 
-    # each member's sorted codes, and for each the first angle it solves:
-    # np.unique's first occurrence in grid order
-    member_codes, first_angles = [], []
+    # each member's sorted codes, the union of its solution sets over the grid:
+    # one sort, since np.unique hashes integers first from numpy 2.3 on (slower)
+    member_codes = []
     for i in range(m):
-        per_angle = [codes_from_signs(enumerate_below(interpolate(base, fresh[i], tau),
-                                                      threshold, max_n=n), "lex")
-                     for tau in angles]
-        codes, first = np.unique(np.concatenate(per_angle), return_index=True)
-        angle_of = np.repeat(np.arange(len(angles)), [len(c) for c in per_angle])
-        member_codes.append(codes)
-        first_angles.append(angle_of[first])
+        per_angle = []
+        for tau in angles:
+            inst = interpolate(base, fresh[i], tau)
+            per_angle.append(codes_from_signs(enumerate_below(inst, threshold, max_n=n), "lex"))
+        codes = np.sort(np.concatenate(per_angle))
+        first = np.ones(codes.size, dtype=bool)      # the first of each run of equal codes
+        first[1:] = codes[1:] != codes[:-1]
+        member_codes.append(codes[first])
 
     chosen: list[int] = []
 
@@ -379,10 +386,12 @@ def search_ogp_tuples(base: Instance, fresh: Sequence[Instance], angles: Sequenc
 
     if not extend(0):
         return None
-    taus = [angles[first_angles[i][np.searchsorted(member_codes[i], chosen[i])]]
+    sigma = signs_from_codes(chosen, n, "lex")
+    taus = [next(tau for tau in angles
+                 if disc_value(interpolate(base, fresh[i], tau), sigma[i]).value <= threshold)
             for i in range(m)]
     return _certificate(chosen, [interpolate(base, fresh[i], taus[i]) for i in range(m)],
-                        {"mode": "interpolate", "angles": list(taus)}, threshold)
+                        {"mode": "interpolate", "angles": taus}, threshold)
 
 
 def default_angle_grid(Q: int) -> np.ndarray:

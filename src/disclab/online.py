@@ -40,10 +40,10 @@ masked copy selects the row.  Column t+1 has not been handed over when
 sign t is decided, so a score algorithm reads columns 1..t only by
 construction.
 
-Every sign must be exactly -1 or +1.  A block signer's raw outputs are
-kept in a float64 record, which cannot truncate 1.5 to 1, and checked
-once per run; an output of the wrong shape or type fails at once.  Either
-way the ``ContractViolationError`` names the algorithm and the step.
+Every sign must be exactly -1 or +1.  A block signer's output is checked
+as its block arrives, read as float64 so that 1.5 is not truncated to 1;
+a wrong shape, type or value is a ``ContractViolationError`` that names
+the algorithm and the step.
 
 Shipped algorithms:
 
@@ -215,14 +215,13 @@ def _column_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
     pairs = np.empty((per, 2, b, m), dtype=work.dtype)      # a block's +-columns
     pairs_view = pairs.view()               # what algorithms see is read-only
     pairs_view.setflags(write=False)
-    raw = np.empty((n, b)) if sign_block else None      # a block signer's outputs
     bufs = np.zeros((2, 2, b, m), dtype=work.dtype)         # two candidate buffers
     bufs_view = bufs.view()
     bufs_view.setflags(write=False)
     outs, cands = tuple(bufs), tuple(bufs_view)
     rows = tuple(tuple(c) for c in cands)
     selects = tuple((o[1], o[0]) for o in outs)
-    plus = np.empty((n, b), dtype=bool)
+    plus = np.empty((n, b), dtype=bool)     # the signs, True for +1
     plus_cols = plus[:, :, None]
     # float64 bound on every |partial +- column| of the columns fed so far:
     # the row l1 norms, widened for the rounding of a sum of n float terms
@@ -242,11 +241,18 @@ def _column_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
             try:
                 if np.shape(s) != (k, b):
                     raise ValueError(f"shape {np.shape(s)}")
-                raw[t0:t0 + k] = s
+                s = np.asarray(s, dtype=np.float64)     # int8 would truncate 1.5 to 1
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ContractViolationError(
                     f"online sign_block returned {exc}, expected a ({k}, {b}) array of -1 "
                     f"and +1 (algorithm {alg.name!r}, step {t0})") from exc
+            bad = np.abs(s) != 1
+            if bad.any():
+                t, i = np.argwhere(bad)[0]
+                raise ContractViolationError(
+                    f"online sign_block returned {float(s[t, i])!r}, expected -1 or +1 "
+                    f"(algorithm {alg.name!r}, step {t0 + t}, batch row {i})")
+            np.greater(s, 0, out=plus[t0:t0 + k])
             continue
         reach += np.add.reduce(np.abs(plus_block, out=minus_block), 0, np.float64)
         np.multiply(reach, widen, out=widest)
@@ -264,15 +270,7 @@ def _column_signs(alg, scratch, work: np.ndarray) -> np.ndarray:
                 np.copyto(dst, src, where=plus_cols[t])
                 partial = rows[i][1]
             i ^= 1
-    if score:
-        return _SIGN_BYTES.take(plus.T)
-    bad = np.abs(raw) != 1
-    if bad.any():
-        t, i = np.argwhere(bad)[0]
-        raise ContractViolationError(
-            f"online sign_block returned {float(raw[t, i])!r}, expected -1 or +1 "
-            f"(algorithm {alg.name!r}, step {t}, batch row {i})")
-    return np.ascontiguousarray(raw.T, dtype=np.int8)
+    return _SIGN_BYTES.take(plus.T)
 
 
 def run_online_batch(alg, entries: np.ndarray, omegas) -> tuple[np.ndarray, np.ndarray]:
@@ -310,14 +308,3 @@ def run_online(alg, inst: Instance, omega: int = 0) -> OnlineResult:
     return OnlineResult(sigma=sigma[0], row_sums=sums[0],
                         value=_native_value(np.max(np.abs(sums[0]))))
 
-
-def random_signing(inst: Instance, seed: int) -> np.ndarray:
-    """Sign vector (int8) of RandomSigningOnline run on ``inst`` with aux seed ``seed``."""
-    return run_online(RandomSigningOnline(), inst, seed).sigma
-
-
-def run_greedy_batch(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy over a batch of instances: ``run_online_batch`` with
-    GreedyOnline.  ``entries`` has shape (B, M, n); returns (signs (B, n)
-    int8, row sums ``entries[i] @ signs[i]`` (B, M))."""
-    return run_online_batch(GreedyOnline(), entries, (0,) * len(entries))

@@ -55,9 +55,8 @@ def binary_entropy(p: float) -> float:
 
 
 def _hb_inverse_lower(target: float) -> float:
-    """The root x in (0, 1/2] of h_b(x) = target (h_b is increasing there)."""
-    if not 0.0 < target <= 1.0:
-        raise ParameterError(f"entropy target must lie in (0,1], got {target}")
+    """The root x in (0, 1/2] of h_b(x) = target, for a target in (0, 1]
+    (h_b is increasing there)."""
     lo, hi = 0.0, 0.5
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
@@ -208,7 +207,7 @@ def find_ogp_params(C1: float, c2: float) -> OgpParams:
     """
     if not (math.inf > C1 > c2 > 0):
         raise ParameterError(f"need C1 > c2 > 0 and C1 finite, got C1={C1}, c2={c2}")
-    m = max(2, math.ceil(16.0 * C1))
+    m = max(2, math.ceil(_finite("the tuple size 16 C1", lambda: 16.0 * C1)))
     target = min(1.0 / (4.0 * C1), 0.5)
     x = _hb_inverse_lower(target)          # x = 1 - beta, in (0, 1/2]
     beta = 1.0 - x

@@ -238,7 +238,8 @@ def test_criterion_10_online_vs_random_baseline():
     for i in range(seeds):
         inst = dl.generate(m_rows, n, "rademacher", philox.derive_seed(0xA0, i, 0))
         pot[i] = dl.run_online(alg, inst).value
-        sigma = dl.random_signing(inst, philox.derive_seed(0xA0, i, 1)).astype(np.int64)
+        sigma = dl.run_online(dl.RandomSigningOnline(), inst,
+                              philox.derive_seed(0xA0, i, 1)).sigma.astype(np.int64)
         rnd[i] = np.abs(inst.entries @ sigma).max()
     med_p, med_r = float(np.median(pot)), float(np.median(rnd))
     check(10, med_p <= med_r,
@@ -264,7 +265,7 @@ def test_criterion_11_jensen_amplification():
             ent = base.copy()
             ent[:, :, n - k:] = generate_batch(m_rows, k, "gaussian", ms,
                                                col_offset=n - k)
-        _, sums = dl.run_greedy_batch(ent)
+        _, sums = dl.run_online_batch(dl.GreedyOnline(), ent, (0,) * len(ent))
         succ.append(np.abs(sums).max(axis=1) <= thr)
     succ = np.stack(succ)
     p_single = float(succ[0].mean())

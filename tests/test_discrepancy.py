@@ -60,6 +60,8 @@ def test_disc_value_dimension_error():
         disc_value(generate(2, 5, "gaussian", 1), [1, 1, 1])
     with pytest.raises(ParameterError):
         disc_value(generate(2, 3, "gaussian", 1), [1, 0, 1])
+    with pytest.raises(ParameterError, match="must be 1-d"):
+        disc_value(generate(2, 3, "gaussian", 1), [[1, 1, 1]])
 
 
 def test_exact_trivial_rows():

@@ -323,6 +323,8 @@ def test_instance_file_holds_only_its_family_values(tmp_path):
 def test_instance_file_roundtrip_raw(tmp_path):
     inst = generate(4, 6, "gaussian", 123)
     path = tmp_path / "g.bin"
+    with pytest.raises(ParameterError, match="body format must be 'csv' or 'raw'"):
+        save_instance(inst, path, body="xml")
     save_instance(inst, path, body="raw")
     back = load_instance(path)
     assert back.entries.tobytes() == inst.entries.tobytes()

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from disclab import (CapacityError, GreedyOnline, Instance, OgpWindow, ParameterError,
-                     RandomSigningOnline, UnsupportedDisorderError, enumerate_below,
-                     enumerate_solutions, generate,
-                     interpolate, overlap_histogram, resample_suffix,
+                     RandomSigningOnline, UnsupportedDisorderError, default_angle_grid,
+                     enumerate_below, enumerate_solutions, generate,
+                     interpolate, ogp_ensemble, overlap_histogram, resample_suffix,
                      search_ogp_tuples, search_xi_disc, search_xi_sbp,
                      stability_probe, verify_certificate)
 from disclab import discrepancy, landscape
@@ -207,6 +208,46 @@ def test_xi_sbp_validation():
     bad = [members[0], generate(2, 8, "gaussian", 999)]
     with pytest.raises(ParameterError):
         search_xi_sbp(bad, 2, 1.0)
+    rad = _ensemble(5, 2, 8, 2, 2, disorder="rademacher")
+    # the message sbp_membership and enumerate_solutions give
+    with pytest.raises(UnsupportedDisorderError, match="perceptron membership is defined "
+                                                       "for gaussian disorder, got 'rademacher'"):
+        search_xi_sbp(rad, 2, 1.0)
+    for k in (0, 9):
+        with pytest.raises(ParameterError, match=f"need 1 <= k <= n, got k={k}"):
+            search_xi_sbp(members, k, 1.0)
+    with pytest.raises(ParameterError, match="must share shape and disorder"):
+        search_xi_sbp([members[0], generate(3, 8, "gaussian", 1)], 2, 1.0)
+    bern = _ensemble(5, 2, 8, 2, 2, disorder="bernoulli", p=0.5)
+    with pytest.raises(ParameterError, match="must share shape and disorder"):
+        search_xi_disc([rad[0], bern[1]], 2, 1.0)
+
+
+@pytest.mark.parametrize("search", [search_xi_sbp, search_xi_disc])
+def test_xi_searches_refuse_fewer_than_two_members(search):
+    # the empty ensemble used to raise IndexError, reading members[0]
+    disorder = "gaussian" if search is search_xi_sbp else "rademacher"
+    for members in ([], [generate(2, 8, disorder, 1)]):
+        with pytest.raises(ParameterError, match="need at least 2 ensemble members"):
+            search(members, 2, 1.0)
+
+
+def test_verify_certificate_refuses_each_broken_field():
+    members = _ensemble(0, 3, 12, 4, 3)
+    cert = search_xi_sbp(members, 4, 1.0)
+    assert list(cert.overlaps) == [5 / 6, 5 / 6, 1.0]
+    assert verify_certificate(cert, members)
+    assert verify_certificate(cert, members, window=(0.8, 1.0))
+    bump = np.array([0.0, 1e-3, 0.0])
+    refused = [
+        (cert, members[:2], None),                                      # too few instances
+        (replace(cert, threshold=float(cert.disc_values[0]) / 2), members, None),
+        (replace(cert, disc_values=cert.disc_values + bump), members, None),
+        (replace(cert, overlaps=cert.overlaps + bump), members, None),
+        (cert, members, (0.9, 1.0)),                                    # excludes 5/6
+    ]
+    for bad, insts, window in refused:
+        assert not verify_certificate(bad, insts, window=window)
 
 
 def test_xi_disc_parity_empty():
@@ -398,6 +439,26 @@ def test_ogp_window_type_and_validation():
         search_ogp_tuples(generate(2, 20, "gaussian", 1),
                           [generate(2, 20, "gaussian", s) for s in (2, 3)],
                           [0.0], (*w.interval, w.bound, w.m))
+    with pytest.raises(ParameterError, match="need 2 fresh instances, got 1"):
+        search_ogp_tuples(base, fresh[:1], [0.0], (*w.interval, w.bound, w.m))
+    # m = 0 used to raise IndexError while building the certificate
+    for m in (0, 1):
+        with pytest.raises(ParameterError, match=f"tuple size m must be >= 2, got {m}"):
+            search_ogp_tuples(base, fresh[:m], [0.0], (*w.interval, w.bound, m))
+    with pytest.raises(ParameterError, match="grid resolution must be >= 1, got 0"):
+        default_angle_grid(0)
+
+
+def test_ogp_angle_is_the_first_grid_angle_at_which_a_member_solves():
+    base, fresh = ogp_ensemble(3, 12, 3, 4)
+    angles = default_angle_grid(8)
+    cert = search_ogp_tuples(base, fresh, angles, (0.5, 0.75, 1.5, 3))
+    taus = cert.tau_or_delta["angles"]
+    assert taus[0] == 0 < taus[1] < taus[2]
+    for i, tau in enumerate(taus):
+        solves = [disc_value(interpolate(base, fresh[i], t), cert.members[i]).value <= 1.5
+                  for t in angles]
+        assert tau == angles[solves.index(True)]
 
 
 @pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -2.0])

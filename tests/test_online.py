@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from disclab import (ALGORITHMS, ContractViolationError, GreedyOnline, Instance,
                      ParameterError, PotentialOnline, RandomSigningOnline,
-                     generate, generate_batch, make_algorithm, philox, random_signing,
-                     resample_suffix, run_greedy_batch, run_online, run_online_batch)
+                     generate, generate_batch, make_algorithm, philox, resample_suffix,
+                     run_online, run_online_batch)
 from disclab import online
 from disclab.landscape import stability_probe
 from disclab.online import _block_width
@@ -81,10 +81,11 @@ def test_integer_batches_whose_row_sums_leave_int64_are_refused(dtype):
     # the wrapped row sum -446744073709551616 for a row whose l1 norm is 1.8e19
     entries = np.array([[[9 * 10**18, 9 * 10**18], [0, 2 * 10**18]]], dtype=dtype)
     with pytest.raises(ParameterError, match="may leave int64"):
-        run_greedy_batch(entries)
+        run_online_batch(GreedyOnline(), entries, (0,) * len(entries))
     with pytest.raises(ParameterError, match="may leave int64"):
         run_online_batch(RandomSigningOnline(), entries, (0,))
-    signs, sums = run_greedy_batch(entries // 2)             # l1 norm 9e18 fits
+    signs, sums = run_online_batch(GreedyOnline(), entries // 2,     # l1 norm 9e18 fits
+                                   (0,) * len(entries))
     assert sums.dtype == np.int64
     assert np.array_equal(sums[0], entries[0].astype(object) // 2 @ signs[0].astype(object))
 
@@ -323,7 +324,7 @@ def test_batch_harness_validation():
 
 def test_greedy_batch_matches_scalar():
     entries = np.stack([generate(4, 40, "gaussian", s).entries for s in range(6)])
-    signs, sums = run_greedy_batch(entries)
+    signs, sums = run_online_batch(GreedyOnline(), entries, (0,) * len(entries))
     for i in range(6):
         res = run_online(GreedyOnline(), Instance(4, 40, "gaussian", i, entries[i]))
         assert np.array_equal(res.sigma, signs[i])
@@ -332,7 +333,7 @@ def test_greedy_batch_matches_scalar():
 
 def test_greedy_batch_reports_direct_products():
     entries = generate_batch(32, 1024, "gaussian", np.arange(10))
-    signs, sums = run_greedy_batch(entries)
+    signs, sums = run_online_batch(GreedyOnline(), entries, (0,) * len(entries))
     for i in range(10):
         assert np.array_equal(sums[i], entries[i] @ signs[i])
 
@@ -340,7 +341,7 @@ def test_greedy_batch_reports_direct_products():
 def test_random_signing_matches_online_path():
     for kind in ("gaussian", "rademacher"):
         inst = generate(3, 30, kind, 8)
-        fast = random_signing(inst, 17)
+        fast = run_online(RandomSigningOnline(), inst, 17).sigma
         slow = run_online(RandomSigningOnline(), inst, omega=17).sigma
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast, random_signs(inst.entries, 17))
@@ -352,14 +353,16 @@ def test_random_signing_keys_on_working_dtype(dtype):
     entries = generate(3, 40, "rademacher", 4).entries.astype(dtype)
     inst = Instance(3, 40, "rademacher", 4, entries)
     want = run_online(RandomSigningOnline(), inst, omega=9).sigma
-    assert np.array_equal(random_signing(inst, 9), want)
+    assert np.array_equal(run_online(RandomSigningOnline(), inst, 9).sigma, want)
     assert np.array_equal(want, random_signs(entries.astype(np.int64), 9))
 
 
 def test_random_signing_determinism_and_seed_sensitivity():
     inst = generate(2, 100, "gaussian", 5)
-    assert np.array_equal(random_signing(inst, 9), random_signing(inst, 9))
-    assert not np.array_equal(random_signing(inst, 9), random_signing(inst, 10))
+    def signs(seed):
+        return run_online(RandomSigningOnline(), inst, seed).sigma
+    assert np.array_equal(signs(9), signs(9))
+    assert not np.array_equal(signs(9), signs(10))
 
 
 def test_random_signing_gaussian_tail():
@@ -369,7 +372,7 @@ def test_random_signing_gaussian_tail():
     hits = 0
     bound = 4.0 * math.sqrt(10_000)
     for inst in inst_entries:
-        sigma = random_signing(inst, 1000 + inst.seed)
+        sigma = run_online(RandomSigningOnline(), inst, 1000 + inst.seed).sigma
         val = abs(int(np.sum(sigma.astype(np.int64) * inst.entries[0])))
         hits += val <= bound
     assert hits >= 0.99 * 300
@@ -382,7 +385,7 @@ def test_random_signing_max_row_scaling():
     vals = []
     for s in range(11):
         inst = generate(m, n, "gaussian", 900 + s)
-        sigma = random_signing(inst, s).astype(np.float64)
+        sigma = run_online(RandomSigningOnline(), inst, s).sigma.astype(np.float64)
         vals.append(float(np.abs(inst.entries @ sigma).max()))
     med = float(np.median(vals))
     assert target / 2 <= med <= target * 2
@@ -395,7 +398,7 @@ def test_potential_beats_random_small():
     for s in range(seeds):
         inst = generate(m, n, "rademacher", 4000 + s)
         pot_vals.append(run_online(alg, inst).value)
-        sigma = random_signing(inst, s).astype(np.int64)
+        sigma = run_online(RandomSigningOnline(), inst, s).sigma.astype(np.int64)
         rnd_vals.append(int(np.abs(inst.entries @ sigma).max()))
     assert np.median(pot_vals) <= np.median(rnd_vals)
 
@@ -492,9 +495,27 @@ def test_a_stateful_block_signer_reproduces_greedy_across_blocks(b, disorder):
     n = 2 * _block_width(b, m) + 5            # two full column blocks and a ragged one
     entries = generate_batch(m, n, disorder, np.arange(b) + 90)
     signs, sums = run_online_batch(RunningGreedy(), entries, np.arange(b))
-    want, want_sums = run_greedy_batch(entries)
+    want, want_sums = run_online_batch(GreedyOnline(), entries, (0,) * len(entries))
     assert np.array_equal(signs, want)
     assert np.array_equal(sums, want_sums)
+
+
+def test_block_signs_are_checked_as_their_block_arrives():
+    # the +-1 check used to run once at the end of the run, so a wrong-shaped
+    # later block was reported first, at its own step
+    per = _block_width(1, 2)
+
+    def make(t0, k, b):
+        if t0:
+            return np.ones(k)
+        out = np.ones((k, b))
+        out[0, 0] = 1.5
+        return out
+
+    with pytest.raises(ContractViolationError,
+                       match=r"returned 1\.5, expected -1 or \+1 \(algorithm 'block-returns', "
+                             r"step 0, batch row 0\)"):
+        run_online(BlockReturns(make), generate(2, per + 7, "gaussian", 1))
 
 
 def test_block_contract_violation_wrong_shape():

@@ -77,6 +77,7 @@ _WALK_CASES = {
     "numpy-float": (np.float32(0.1), float(np.float32(0.1))),
     "numpy-bool": (np.bool_(True), True),
     "dataclass": (_Holder(np.array([-1, 1], np.int8)), {"x": "-+"}),
+    "empty-dict": ({}, {}),
 }
 
 
@@ -88,6 +89,12 @@ def test_render_json_walks_arrays_and_dataclasses_at_any_depth(case):
     in_list = render_json(_Holder([value, value]))
     assert render_json({"x": [value, value]}) == in_list == render_json({"x": [expected] * 2})
     assert json.loads(in_list) == {"x": [expected] * 2}
+
+
+def test_render_json_refuses_a_type_it_has_no_rule_for():
+    assert render_json({}) == "{}"
+    with pytest.raises(ParameterError, match="cannot serialize value of type"):
+        render_json(object())
 
 
 def test_discrepancy_result_payload_shape():
@@ -386,8 +393,24 @@ _BOX_BOUND = ["theory", "box-bound", "--m", "2", "--beta", "0.5"]
     ["sbp", "--rows", "3", "--cols", "10", "--disorder", "rademacher", "--kappa", "1"],
     # and so is the solution set: the histogram used to pair 41,328 and exit 0
     ["landscape", "histogram", "--rows", "3", "--cols", "10", "--disorder", "rademacher",
-     "--kappa", "1", "--bins", "4"]])
+     "--kappa", "1", "--bins", "4"],
+    # 16 C1 used to overflow in math.ceil, a traceback and exit 1
+    ["theory", "ogp-params", "--C1", "1e308", "--c2", "0.5"]])
 def test_cli_non_finite_or_non_positive_parameters_are_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["disc"],
+    ["disc", "--rows", "3"],
+    ["landscape", "histogram", "--rows", "2", "--cols", "8", "--kappa", "1e-9"],
+    ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2",
+     "--hamming-delta", "4"],
+    ["theory", "expected-count", "--n", "12", "--rows", "3", "--m", "2", "--k", "4"]])
+def test_cli_incomplete_requests_are_one_error_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -503,6 +526,15 @@ BAD_INSTANCE_FILES = {
     "gaussian-csv-nan-inf": (b'{"rows": 1, "cols": 3, "disorder": "gaussian", "seed": 1, '
                              b'"body": "csv"}\nnan,1.0,inf\n'),
     "gaussian-raw-nan": _raw_header(1, 3) + struct.pack("<3d", 0.5, math.nan, -1.0),
+    "header-list": b'[2, 3]\n1,2,3\n4,5,6\n',
+    "body-xml": (b'{"rows": 1, "cols": 2, "disorder": "rademacher", "seed": 1, '
+                 b'"body": "xml"}\n1,-1\n'),
+    "csv-not-ascii": (b'{"rows": 1, "cols": 2, "disorder": "gaussian", "seed": 1, '
+                      b'"body": "csv"}\n0.5,\xb51\n'),
+    "csv-too-few-rows": (b'{"rows": 2, "cols": 2, "disorder": "gaussian", "seed": 1, '
+                         b'"body": "csv"}\n0.5,1\n'),
+    "csv-value-does-not-parse": (b'{"rows": 1, "cols": 2, "disorder": "gaussian", '
+                                 b'"seed": 1, "body": "csv"}\n0.5,x\n'),
 }
 
 
@@ -666,6 +698,10 @@ BAD_CONFIGS = {
                                             "kappa": math.inf}),
     # it used to list exact_1.json twice in the manifest, over one file
     "seeds-repeated": json.dumps({**_GOOD_CONFIG, "seeds": [1, 1]}),
+    "max-n-float": json.dumps({**_GOOD_CONFIG, "max_n": 3.5}),
+    "lam-string": json.dumps({**_ONLINE_CONFIG, "alg": "potential", "lam": "x"}),
+    "out-dir-int": json.dumps({**_GOOD_CONFIG, "out_dir": 5}),
+    "sbp-count-without-kappa": json.dumps({**_GOOD_CONFIG, "kind": "sbp-count"}),
 }
 
 
@@ -710,12 +746,33 @@ def _refuse_constant(token):
     raise ValueError(f"non-JSON token {token}")
 
 
-def test_readme_theory_examples_run_and_print_json(capsys):
-    examples = [argv for argv in _readme_cli_examples() if argv[0] == "theory"]
-    assert len(examples) >= 9           # one per theory topic
+def _readme_sweep_config() -> dict:
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("A sweep config is a JSON object", 1)[1]
+    return json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_readme_cli_examples_run_and_print_json(tmp_path, monkeypatch, capsys):
+    # every example, in the README's order, where its files are: gen writes
+    # the inst.txt that disc reads, and the sweep reads the README's config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text(json.dumps(_readme_sweep_config()))
+    examples = _readme_cli_examples()
+    assert len(examples) == 19          # one per leaf subcommand
     for argv in examples:
         assert main(argv) == 0, argv
-        json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        out = capsys.readouterr().out
+        if "--out" in argv:
+            assert out == "", argv
+            path = argv[argv.index("--out") + 1]
+            if path.endswith(".json"):
+                json.loads(open(path).read(), parse_constant=_refuse_constant)
+        elif argv[:2] == ["landscape", "histogram"]:
+            assert out.startswith("bin_lo,bin_hi,count\n"), argv
+        elif argv[0] == "experiment":
+            assert out == "50/50 tasks ok; manifest written\n"
+        else:
+            json.loads(out, parse_constant=_refuse_constant)
 
 
 def test_readme_module_table_names_every_module():
@@ -727,7 +784,5 @@ def test_readme_module_table_names_every_module():
 
 
 def test_readme_sweep_config_parses():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
-    block = readme.split("A sweep config is a JSON object", 1)[1]
-    cfg = parse_config(json.loads(block.split("```json", 1)[1].split("```", 1)[0]))
+    cfg = parse_config(_readme_sweep_config())
     assert cfg["kind"] == "online" and cfg["seeds"]

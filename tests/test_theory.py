@@ -134,6 +134,17 @@ def test_find_ogp_params_anchors():
     assert find_ogp_params(0.01, 0.001).m == 2
     with pytest.raises(ParameterError):
         find_ogp_params(0.5, 0.5)
+    # 16 C1 used to overflow inside math.ceil, an OverflowError
+    with pytest.raises(ParameterError, match="16 C1 overflows float64"):
+        find_ogp_params(1e308, 0.5)
+
+
+def test_psi_disc_validation():
+    for eta, beta in ((0.5, 0.5), (0.6, 0.5)):
+        with pytest.raises(ParameterError, match="need 0 < eta < beta < 1"):
+            psi_disc(4, beta, eta, 0.1, 500, 16, 1.0)
+    with pytest.raises(ParameterError, match="tuple size m must be >= 2, got 1"):
+        psi_disc(1, 0.7, 0.05, 0.1, 500, 16, 1.0)
 
 
 def test_psi_disc_negative_on_construction_grid():
@@ -182,6 +193,8 @@ def test_covariance_spec_validation():
         CovarianceSpec(2, 0.5, 0.1, (0.2,))
     with pytest.raises(ParameterError):
         CovarianceSpec(3, 0.5, 0.1, (0.05,))
+    with pytest.raises(ParameterError, match="eta must be nonnegative"):
+        CovarianceSpec(2, 0.5, -0.1)
 
 
 # -- box bounds and probabilities ---------------------------------------------
@@ -304,6 +317,23 @@ def test_equicorrelated_quadrature_vs_mc():
         assert abs(q - est.estimate) <= 4 * est.std_error, (m, rho)
 
 
+def test_equicorrelated_box_probability_validation():
+    with pytest.raises(ParameterError, match="m must be >= 1, got 0"):
+        equicorrelated_box_probability(0, 0.5, 1.0)
+    for rho in (-0.1, 1.5):
+        with pytest.raises(ParameterError, match="equicorrelation must lie in"):
+            equicorrelated_box_probability(2, rho, 1.0)
+    assert equicorrelated_box_probability(2, 0.5, 0.0) == 0.0
+    assert equicorrelated_box_probability(2, 0.5, -1.0) == 0.0
+
+
+def test_quadrature_refuses_a_non_pd_covariance_and_m_above_3():
+    with pytest.raises(ParameterError, match="not positive definite"):
+        box_probability_quadrature(np.ones((2, 2)), 1.0)
+    with pytest.raises(ParameterError, match="supports m <= 3, got m=4"):
+        box_probability_quadrature(np.eye(4), 1.0)
+
+
 def test_general_quadrature_matches_equicorrelated():
     for m, rho in [(2, 0.3), (3, 0.6)]:
         cov = build_covariance(m, rho, [0.0] * (m * (m - 1) // 2))
@@ -365,6 +395,9 @@ def test_expected_xi_count_identities():
     assert abs(v - 2 ** 14) < 1e-6
     with pytest.raises(ParameterError):
         expected_xi_count(10, 3, 11, 2, 1.0)
+    for m, M in ((0, 3), (2, 0)):
+        with pytest.raises(ParameterError, match="need m >= 1 and M >= 1"):
+            expected_xi_count(10, M, 4, m, 1.0)
 
 
 def test_expected_tuple_count_degenerate():
@@ -393,6 +426,29 @@ def test_expected_tuple_count_vs_bruteforce():
 def test_expected_tuple_count_nonpd_error():
     with pytest.raises(ParameterError):
         expected_tuple_count_general(10, 2, 5, 9, 3.0)
+
+
+def test_expected_tuple_count_refuses_a_distance_above_n():
+    with pytest.raises(ParameterError, match="hamming distance must lie in"):
+        expected_tuple_count_general(10, 2, 2, 11, 3.0)
+
+
+def test_expected_tuple_count_monte_carlo_fallback_is_within_correct_bounds():
+    # m > 3 at a negative overlap draws _MC_SAMPLES samples; here rho = -1/8
+    # and the half-width is 1/4.  Any correct estimate of the row probability
+    # P4 lies within 4 SE of [P3 P(|Z| <= 1/4), P3], P3 the box probability of
+    # the first three coordinates: the lower end by the Gaussian correlation
+    # inequality (Royen 2014), the upper end because the 4-d box event
+    # implies the 3-d one.
+    n, M, m, delta, K = 16, 2, 4, 9, 1.0
+    rho, hw = 1.0 - 2.0 * delta / n, K / math.sqrt(n)
+    assert (rho, hw) == (-0.125, 0.25)
+    est = expected_tuple_count_general(n, M, m, delta, K)
+    p = est.row_probability
+    se = math.sqrt(p * (1.0 - p) / theory._MC_SAMPLES)
+    p3 = box_probability_quadrature(build_covariance(3, rho, 0.0), hw)
+    assert p3 * prob_abs_z_le(hw) - 4 * se <= p <= p3 + 4 * se
+    assert expected_tuple_count_general(n, M, m, delta, K) == est
 
 
 # -- stability constants ------------------------------------------------------
